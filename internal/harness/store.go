@@ -1,17 +1,11 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"hash/fnv"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultpoint"
 	"repro/internal/storeutil"
@@ -26,19 +20,19 @@ var (
 	fpResultSave = faultpoint.New("harness.store.save.write")
 )
 
-// staleTempAge is how old an abandoned atomic-write temp file must be
-// before opening a store sweeps it: old enough that no live writer's
-// temp is ever touched, young enough that a crashed sweep's litter is
-// gone by the resume.
-const staleTempAge = time.Hour
-
 // ResultStoreSchema is the on-disk format version of the unit-result
 // store. Bump it whenever the result wire format or the simulation
 // semantics behind any scenario change in a way no config field
 // captures: readers reject files written under any other schema, so a
 // stale store degrades to recomputation instead of serving wrong
-// results.
-const ResultStoreSchema = "result-store/1"
+// results. Unit keys embed it, so a bump also moves every key.
+// (/2: collector sections moved from trace JSONL to the trace binary
+// body.)
+const ResultStoreSchema = "result-store/2"
+
+// resultSuffix ends every entry's file name; it names the entry's JSON
+// header line, not its body.
+const resultSuffix = ".unit.jsonl"
 
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol
@@ -53,23 +47,6 @@ type UnitResult struct {
 	Traffic  *trace.Collector
 }
 
-// resultHeader is the first line of every store file. The full unit key
-// is embedded so file-name hash collisions can never alias two units,
-// and the section lengths + CRC make truncation and corruption
-// detectable without trusting the JSON parser to notice. A length of -1
-// marks an absent section (nil collector), distinct from an empty one.
-type resultHeader struct {
-	Schema string `json:"schema"`
-	Key    string `json:"key"`
-	// MetaLen, ProtoLen and TrafficLen are the byte lengths of the three
-	// body sections, concatenated in that order after the header line.
-	MetaLen    int64 `json:"meta_len"`
-	ProtoLen   int64 `json:"proto_len"`
-	TrafficLen int64 `json:"traffic_len"`
-	// BodyCRC is the CRC-32 (IEEE) of the whole concatenated body.
-	BodyCRC uint32 `json:"body_crc"`
-}
-
 // ResultStore is an on-disk, content-addressed store of experiment unit
 // results, keyed by root seed + unit identity (experiment, scenario,
 // parameter point, round) + config/code digests. It is what turns a
@@ -78,11 +55,13 @@ type resultHeader struct {
 // stopped, and N processes shard one sweep by pointing at a shared
 // directory.
 //
+// Each file is a storeutil.Envelope with three sections — meta, protocol
+// trace, traffic trace — the two traces in the trace binary body.
 // Files are written atomically (temp file + rename), so concurrent
 // writers of the same key race benignly: the unit is a pure function of
 // its key, and one of the identical byte streams wins.
 type ResultStore struct {
-	dir string
+	env storeutil.Envelope
 	// Always-on operation counters (atomics: workers share the store).
 	// They back the end-of-sweep resume summary, which must report even
 	// when the metrics registry is disabled; the registry mirrors them
@@ -117,36 +96,45 @@ func (s *ResultStore) Stats() ResultStoreStats {
 
 // NewResultStore opens (creating if needed) a store rooted at dir.
 func NewResultStore(dir string) (*ResultStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("harness: empty result store directory")
+	s := &ResultStore{env: storeutil.Envelope{
+		Dir: dir, Schema: ResultStoreSchema, Name: "harness: result store",
+		Sections: 3, Suffix: resultSuffix, TempPrefix: ".unit-",
+		LoadFault: fpResultLoad, SaveFault: fpResultSave,
+	}}
+	if err := s.env.Open(); err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("harness: result store: %w", err)
-	}
-	// A crashed writer leaves its atomic-write temp behind; sweep any old
-	// enough that no live writer can own them.
-	storeutil.CleanStaleTemps(dir, ".unit-", ".tmp", staleTempAge)
-	return &ResultStore{dir: dir}, nil
+	return s, nil
 }
 
 // Dir returns the store's root directory.
-func (s *ResultStore) Dir() string { return s.dir }
+func (s *ResultStore) Dir() string { return s.env.Dir }
 
-// Path returns the file a key stores under. The name is a 64-bit FNV-1a
-// hash of the key; collisions are harmless because Load verifies the
-// embedded key.
-func (s *ResultStore) Path(key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return filepath.Join(s.dir, fmt.Sprintf("%016x.unit.jsonl", h.Sum64()))
-}
+// Path returns the file a key stores under (see storeutil.Envelope.Path).
+func (s *ResultStore) Path(key string) string { return s.env.Path(key) }
 
 // Load returns the result stored under key, or (nil, nil) when the key
 // is absent. A present-but-unusable file (wrong schema, key collision,
-// truncation, corruption) returns an error; callers treat that as a
-// miss and recompute, overwriting the bad file.
+// truncation, corruption) is quarantined and returns an error; callers
+// treat that as a miss and recompute, overwriting the bad file.
 func (s *ResultStore) Load(key string) (*UnitResult, error) {
-	res, err := s.load(key)
+	var res *UnitResult
+	st, err := s.env.Read(key, func(sec [][]byte) error {
+		r := &UnitResult{Meta: sec[0]}
+		var err error
+		if r.Protocol, err = decodeSection(sec[1]); err != nil {
+			return fmt.Errorf("protocol: %w", err)
+		}
+		if r.Traffic, err = decodeSection(sec[2]); err != nil {
+			return fmt.Errorf("traffic: %w", err)
+		}
+		res = r
+		return nil
+	})
+	s.readBytes.Add(uint64(st.Bytes))
+	if st.Quarantined {
+		s.corrupt.Add(1)
+	}
 	if res != nil {
 		s.hits.Add(1)
 	} else {
@@ -155,161 +143,38 @@ func (s *ResultStore) Load(key string) (*UnitResult, error) {
 	return res, err
 }
 
-// quarantine handles a file that failed validation: it is counted,
-// moved aside to <name>.corrupt — freeing the path so the caller's
-// recompute-and-Save heals the entry with one atomic rename — and the
-// validation error is annotated with where the bad bytes went.
-func (s *ResultStore) quarantine(path string, err error) error {
-	s.corrupt.Add(1)
-	if qerr := storeutil.Quarantine(path); qerr != nil {
-		return err
+// decodeSection decodes one collector section; an absent section is a
+// nil collector.
+func decodeSection(b []byte) (*trace.Collector, error) {
+	if b == nil {
+		return nil, nil
 	}
-	return fmt.Errorf("%w (quarantined to %s)", err, filepath.Base(path)+storeutil.QuarantineSuffix)
-}
-
-func (s *ResultStore) load(key string) (*UnitResult, error) {
-	if err := fpResultLoad.FireKey(key); err != nil {
-		return nil, fmt.Errorf("harness: result store: %w", err)
-	}
-	path := s.Path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("harness: result store: %w", err)
-	}
-	s.readBytes.Add(uint64(len(data)))
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: truncated header", path))
-	}
-	var hdr resultHeader
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: header: %w", path, err))
-	}
-	if hdr.Schema != ResultStoreSchema {
-		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: schema %q, want %q", path, hdr.Schema, ResultStoreSchema))
-	}
-	if hdr.Key != key {
-		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: key mismatch (stored %q)", path, hdr.Key))
-	}
-	body := data[nl+1:]
-	want := sectionLen(hdr.MetaLen) + sectionLen(hdr.ProtoLen) + sectionLen(hdr.TrafficLen)
-	if int64(len(body)) != want {
-		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: body %d bytes, header says %d (truncated?)",
-			path, len(body), want))
-	}
-	if crc := crc32.ChecksumIEEE(body); crc != hdr.BodyCRC {
-		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: body CRC %08x, header says %08x (corrupt)",
-			path, crc, hdr.BodyCRC))
-	}
-	res := &UnitResult{}
-	rest := body
-	if hdr.MetaLen >= 0 {
-		res.Meta = json.RawMessage(rest[:hdr.MetaLen])
-		rest = rest[hdr.MetaLen:]
-	}
-	if hdr.ProtoLen >= 0 {
-		col, err := trace.ReadJSONL(bytes.NewReader(rest[:hdr.ProtoLen]))
-		if err != nil {
-			return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: protocol: %w", path, err))
-		}
-		res.Protocol = col
-		rest = rest[hdr.ProtoLen:]
-	}
-	if hdr.TrafficLen >= 0 {
-		col, err := trace.ReadJSONL(bytes.NewReader(rest))
-		if err != nil {
-			return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: traffic: %w", path, err))
-		}
-		res.Traffic = col
-	}
-	return res, nil
-}
-
-func sectionLen(n int64) int64 {
-	if n < 0 {
-		return 0
-	}
-	return n
+	return trace.DecodeBinary(b)
 }
 
 // Save writes the result under key atomically. Collector sections use
-// the exact trace JSONL wire format, so a loaded result replays
-// byte-identically into every downstream report.
+// the trace binary body, which stores every value exactly, so a loaded
+// result replays byte-identically into every downstream report.
 func (s *ResultStore) Save(key string, res *UnitResult) error {
-	var body bytes.Buffer
-	hdr := resultHeader{Schema: ResultStoreSchema, Key: key, MetaLen: -1, ProtoLen: -1, TrafficLen: -1}
-	if res.Meta != nil {
-		body.Write(res.Meta)
-		hdr.MetaLen = int64(len(res.Meta))
-	}
-	if res.Protocol != nil {
-		start := body.Len()
-		if err := res.Protocol.WriteJSONL(&body); err != nil {
-			return fmt.Errorf("harness: result store: protocol: %w", err)
+	var body []byte
+	sections := [][]byte{res.Meta, nil, nil}
+	for i, col := range []*trace.Collector{res.Protocol, res.Traffic} {
+		if col == nil {
+			continue
 		}
-		hdr.ProtoLen = int64(body.Len() - start)
-	}
-	if res.Traffic != nil {
-		start := body.Len()
-		if err := res.Traffic.WriteJSONL(&body); err != nil {
-			return fmt.Errorf("harness: result store: traffic: %w", err)
+		start := len(body)
+		var err error
+		if body, err = col.AppendBinary(body); err != nil {
+			return fmt.Errorf("harness: result store: %w", err)
 		}
-		hdr.TrafficLen = int64(body.Len() - start)
+		sections[1+i] = body[start:len(body):len(body)]
 	}
-	hdr.BodyCRC = crc32.ChecksumIEEE(body.Bytes())
-	hdrLine, err := json.Marshal(hdr)
+	n, err := s.env.Write(key, sections)
 	if err != nil {
-		return fmt.Errorf("harness: result store: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".unit-*.tmp")
-	if err != nil {
-		return fmt.Errorf("harness: result store: %w", err)
-	}
-	keepTmp := false
-	defer func() {
-		if !keepTmp {
-			os.Remove(tmp.Name()) // no-op after a successful rename
-		}
-	}()
-	// Torn-write injection: write only the armed byte prefix and abort
-	// the way a crashed process would — temp left behind, no rename, so
-	// the store's published entry is never a partial file.
-	if n, ok := fpResultSave.ShortWrite(key); ok {
-		payload := append(append(append([]byte{}, hdrLine...), '\n'), body.Bytes()...)
-		if n > len(payload) {
-			n = len(payload)
-		}
-		_, werr := tmp.Write(payload[:n])
-		if cerr := tmp.Close(); werr == nil {
-			werr = cerr
-		}
-		keepTmp = true
-		return fmt.Errorf("harness: result store: faultpoint short write (%d of %d bytes) on %s: %v",
-			n, len(payload), tmp.Name(), werr)
-	}
-	w := bufio.NewWriter(tmp)
-	if _, err := w.Write(hdrLine); err == nil {
-		if err = w.WriteByte('\n'); err == nil {
-			_, err = w.Write(body.Bytes())
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("harness: result store: writing %s: %w", tmp.Name(), err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path(key)); err != nil {
-		return fmt.Errorf("harness: result store: %w", err)
+		return err
 	}
 	s.saves.Add(1)
-	s.writeSize.Add(uint64(len(hdrLine)) + 1 + uint64(body.Len()))
+	s.writeSize.Add(uint64(n))
 	return nil
 }
 
@@ -327,17 +192,17 @@ type StoreSummary struct {
 // Summary scans the store directory and reports entry count and total
 // size. Best effort: unreadable entries are skipped.
 func (s *ResultStore) Summary() StoreSummary {
-	sum := StoreSummary{Schema: ResultStoreSchema, Dir: s.dir}
-	ents, err := os.ReadDir(s.dir)
+	sum := StoreSummary{Schema: ResultStoreSchema, Dir: s.env.Dir}
+	ents, err := os.ReadDir(s.env.Dir)
 	if err != nil {
 		return sum
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".unit.jsonl"+storeutil.QuarantineSuffix) {
+		if strings.HasSuffix(e.Name(), resultSuffix+storeutil.QuarantineSuffix) {
 			sum.Corrupt++
 			continue
 		}
-		if !strings.HasSuffix(e.Name(), ".unit.jsonl") {
+		if !strings.HasSuffix(e.Name(), resultSuffix) {
 			continue
 		}
 		info, err := e.Info()

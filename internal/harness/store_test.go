@@ -3,12 +3,14 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -46,7 +48,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "result-store/1|seed=1|exp=\"probe\"|round=0"
+	const key = ResultStoreSchema + "|seed=1|exp=\"probe\"|round=0"
 	want := storeSample()
 	if err := store.Save(key, want); err != nil {
 		t.Fatal(err)
@@ -220,5 +222,26 @@ func TestStoreSummaryCounts(t *testing.T) {
 	sum := store.Summary()
 	if sum.Entries != 3 || sum.Bytes <= 0 || sum.Schema != ResultStoreSchema || sum.Dir != dir {
 		t.Fatalf("summary %+v", sum)
+	}
+}
+
+// TestStoreSaveRejectsNonFinite: a NaN rx power had no JSONL encoding,
+// so Save failed; the binary body refuses it too, and nothing is
+// published under the key.
+func TestStoreSaveRejectsNonFinite(t *testing.T) {
+	store, err := NewResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := storeSample()
+	res.Protocol.OnRx(1, packet.NewData(100, 1, 7, []byte("x")), mac.RxMeta{At: time.Second, RxPowerDBm: math.NaN()})
+	if err := res.Protocol.WriteJSONL(&bytes.Buffer{}); err == nil {
+		t.Fatal("JSONL accepted a NaN rx power")
+	}
+	if err := store.Save("nan", res); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("Save = %v, want a non-finite error", err)
+	}
+	if _, err := os.Stat(store.Path("nan")); !os.IsNotExist(err) {
+		t.Fatal("a refused result was published")
 	}
 }

@@ -65,7 +65,7 @@ func TestStoreTornWriteRecovery(t *testing.T) {
 
 	// Reopening the store sweeps temps old enough to be a crashed
 	// writer's, and the key is a clean miss.
-	old := time.Now().Add(-2 * staleTempAge)
+	old := time.Now().Add(-2 * storeutil.StaleTempAge)
 	if err := os.Chtimes(temps[0], old, old); err != nil {
 		t.Fatal(err)
 	}

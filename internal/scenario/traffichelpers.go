@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -94,7 +93,14 @@ func (c *trafficTraceCache) get(key string, compute func() (*trace.Collector, er
 			}
 		}
 		e.col, e.err = compute()
-		if e.err == nil && store != nil {
+		if e.err == nil {
+			// The stream is handed out as recorded, so check here what
+			// any trace encoding would refuse: a non-finite sample.
+			e.err = e.col.CheckFinite()
+		}
+		if e.err != nil {
+			e.col = nil
+		} else if store != nil {
 			// Best effort: a read-only or full disk must not fail the
 			// sweep, only disable its cross-process reuse.
 			_ = store.Save(key, e.col)
@@ -123,8 +129,10 @@ func recordTrafficTrace(tcfg traffic.Config, specs []traffic.VehicleSpec, d time
 //     engine through the returned PreRun and steps on its clock, filling
 //     the returned stream as the round executes;
 //   - replay (replay=true): the traffic run is computed up front (via the
-//     shared cache), serialised through the trace JSONL wire format, and
-//     replayed — the record-once, sweep-many path.
+//     shared cache, which hands back the recorded collector itself) and
+//     replayed — the record-once, sweep-many path. Every encoding of a
+//     trace stores its values exactly, so the in-memory copy, a store
+//     load and an exported file all replay the same motion.
 //
 // The cache key is traffic.TraceKey(tcfg, specs, d): the exhaustive
 // digest of everything that shapes vehicle motion, computed here so no
@@ -151,17 +159,7 @@ func trafficModels(net *traffic.Network, tcfg traffic.Config, specs []traffic.Ve
 	}
 
 	col, err := trafficCache.get(traffic.TraceKey(tcfg, specs, d), func() (*trace.Collector, error) {
-		rec, err := recordTrafficTrace(tcfg, specs, d)
-		if err != nil {
-			return nil, err
-		}
-		// Round-trip through the wire format so cached replays are
-		// exactly what a trace file on disk would give back.
-		var buf bytes.Buffer
-		if err := rec.WriteJSONL(&buf); err != nil {
-			return nil, err
-		}
-		return trace.ReadJSONL(&buf)
+		return recordTrafficTrace(tcfg, specs, d)
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -1,9 +1,10 @@
-// Package storeutil holds the self-healing primitives the on-disk
-// stores share: quarantining files that fail validation so the next
-// atomic rename repairs the entry, and sweeping up temp files abandoned
-// by crashed writers. Both stores (internal/harness's result store and
-// internal/traffic's trace store) write with the same temp-file-plus-
-// rename discipline, so they heal the same way.
+// Package storeutil holds what the on-disk stores (internal/harness's
+// result store and internal/traffic's trace store) share: the file
+// Envelope — header line, length-delimited sections under one CRC,
+// atomic temp-file-plus-rename writes — and the self-healing primitives
+// behind it: quarantining files that fail validation so the next atomic
+// rename repairs the entry, and sweeping up temp files abandoned by
+// crashed writers.
 package storeutil
 
 import (

@@ -2,9 +2,15 @@
 // transmission, reception, drop, protocol phase change and cooperative
 // recovery — mirroring the paper's methodology of capturing all traffic in
 // monitor mode and post-processing it offline. Collectors plug into both
-// the MAC (mac.Tracer) and the protocol (carq.Observer), can be exported
-// and re-imported as JSON Lines, and expose the set/series queries the
-// analysis layer is built on.
+// the MAC (mac.Tracer) and the protocol (carq.Observer) and expose the
+// set/series queries the analysis layer is built on.
+//
+// A collector has two encodings. JSON Lines (WriteJSONL/ReadJSONL) is
+// the export format, for carqsim/carqtrace and other tools. The binary
+// body (AppendBinary/DecodeBinary) is the storage format the result and
+// traffic-trace stores persist: fixed-width records with exact float64
+// bits, several times smaller and faster to read back. Both reproduce
+// every finite value exactly.
 package trace
 
 import (

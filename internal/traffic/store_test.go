@@ -3,12 +3,14 @@ package traffic
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/storeutil"
 	"repro/internal/trace"
 )
 
@@ -123,7 +125,7 @@ func TestStoreSchemaVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl := bytes.IndexByte(data, '\n')
-	var hdr storeHeader
+	var hdr storeutil.Header
 	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
 		t.Fatal(err)
 	}
@@ -334,5 +336,22 @@ func TestStoreSaveIsAtomic(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("temp file %s left behind", filepath.Join(dir, e.Name()))
 		}
+	}
+}
+
+// TestStoreSaveRejectsNonFinite: a NaN vehicle sample had no JSONL
+// encoding, so Save failed; the binary body refuses it too.
+func TestStoreSaveRejectsNonFinite(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := storeTestStream(t)
+	col.Vehicles[len(col.Vehicles)/2].Speed = math.NaN()
+	if err := st.Save("nan", col); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("Save = %v, want a non-finite error", err)
+	}
+	if _, err := os.Stat(st.Path("nan")); !os.IsNotExist(err) {
+		t.Fatal("a refused stream was published")
 	}
 }

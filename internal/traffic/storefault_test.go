@@ -50,7 +50,7 @@ func TestStoreTornWriteRecovery(t *testing.T) {
 		t.Fatal("torn write left no temp file")
 	}
 
-	old := time.Now().Add(-2 * staleTempAge)
+	old := time.Now().Add(-2 * storeutil.StaleTempAge)
 	if err := os.Chtimes(temp, old, old); err != nil {
 		t.Fatal(err)
 	}
