@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench bench-traffic bench-json bench-compare fmt vet check sweep-resume crash-resume soak sweepd-smoke metrics-smoke
+.PHONY: all build test short race bench bench-traffic bench-json bench-compare fmt vet check sweep-resume crash-resume soak fuzz sweepd-smoke metrics-smoke
 
 all: build test
 
@@ -63,6 +63,14 @@ crash-resume:
 # run over the battered store. SOAK_SEED/SOAK_ITERS tune the schedule.
 soak:
 	sh scripts/ci_soak.sh
+
+# Fuzzing gate (nightly): each native fuzz target runs for FUZZTIME
+# beyond its seed corpus, which tier-1 already replays. Minimisation is
+# capped, or a multi-KB input can stall the fuzzer for a minute.
+FUZZTIME ?= 60s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSeqSet$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/packet
 
 # Results-API smoke: sweep, start sweepd, check catalogue, typed
 # content types, the ETag/If-None-Match 304 contract, and the

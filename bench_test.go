@@ -60,12 +60,48 @@ func BenchmarkTable1(b *testing.B) {
 	b.ResetTimer()
 	var rows []*analysis.Table1Row
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Table1(res.Rounds, res.CarIDs)
+		rows = analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 	}
 	b.StopTimer()
 	for i, r := range rows {
 		b.ReportMetric(r.LostBeforePct(), fmt.Sprintf("car%d_pre_%%", i+1))
 		b.ReportMetric(r.LostAfterPct(), fmt.Sprintf("car%d_post_%%", i+1))
+	}
+}
+
+var (
+	paperOnce sync.Once
+	paperRes  *scenario.TestbedResult
+	paperErr  error
+	// table1Sink keeps the benchmarked rendering from being optimised away.
+	table1Sink string
+)
+
+// BenchmarkTable1AndFigures regenerates Table 1 and Figures 3-8 from the
+// paper's 30 canonical rounds the way the table1 study does: index the
+// rounds once, then draw the table and all six figures from the shared
+// indexes.
+func BenchmarkTable1AndFigures(b *testing.B) {
+	paperOnce.Do(func() {
+		paperRes, paperErr = scenario.RunTestbed(scenario.DefaultTestbed())
+	})
+	if paperErr != nil {
+		b.Fatal(paperErr)
+	}
+	res := paperRes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rounds := trace.IndexRounds(res.Rounds)
+		table1Sink = report.Table1Text(analysis.Table1(rounds, res.CarIDs))
+		for _, car := range res.CarIDs {
+			if _, err := report.ReceptionFigureOf(rounds, res.CarIDs, car); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := report.CoopFigureOf(rounds, res.CarIDs, car); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -220,10 +256,10 @@ func BenchmarkAblationAPRetransmit(b *testing.B) {
 					b.Fatal(err)
 				}
 				var held, offered float64
-				for _, round := range res.Rounds {
+				for _, round := range trace.IndexRounds(res.Rounds) {
 					for _, car := range res.CarIDs {
-						held += float64(len(round.HeldSet(car)))
-						offered += float64(len(round.DataSentSeqs(car)))
+						held += float64(round.Held(car).Len())
+						offered += float64(round.Sent(car).Len())
 					}
 				}
 				heldPct = 100 * held / offered
@@ -353,7 +389,7 @@ func BenchmarkExtHighwaySpeed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rows := analysis.Table1(res.Rounds, res.CarIDs)
+				rows := analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 				window, pre, post = 0, 0, 0
 				for _, r := range rows {
 					window += r.TxByAP.Mean()
@@ -448,8 +484,9 @@ func BenchmarkExtCorridor(b *testing.B) {
 					b.Fatal(err)
 				}
 				var sum float64
+				rounds := trace.IndexRounds(res.Rounds)
 				for _, car := range res.CarIDs {
-					sum += analysis.CoverageEfficiency(res.Rounds, car, res.CarIDs)
+					sum += analysis.CoverageEfficiency(rounds, car, res.CarIDs)
 				}
 				eff = sum / float64(len(res.CarIDs))
 			}
@@ -475,12 +512,13 @@ func BenchmarkAblationRecruitmentTTL(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				lo, hi, ok := analysis.Window(res.Rounds, 3, res.CarIDs)
+				rounds := trace.IndexRounds(res.Rounds)
+				lo, hi, ok := analysis.Window(rounds, 3, res.CarIDs)
 				if !ok {
 					b.Fatal("no window")
 				}
-				after := analysis.AfterCoopSeries(res.Rounds, 3, lo, hi)
-				joint := analysis.JointSeries(res.Rounds, 3, res.CarIDs, lo, hi)
+				after := analysis.AfterCoopSeries(rounds, 3, lo, hi)
+				joint := analysis.JointSeries(rounds, 3, res.CarIDs, lo, hi)
 				_, gap = analysis.OptimalityGap(after, joint)
 			}
 			b.ReportMetric(gap, "car3_mean_gap")
@@ -614,7 +652,7 @@ func BenchmarkStopGoRound(b *testing.B) {
 }
 
 func meanPre(res *scenario.TestbedResult) float64 {
-	rows := analysis.Table1(res.Rounds, res.CarIDs)
+	rows := analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 	var sum float64
 	for _, r := range rows {
 		sum += r.LostBeforePct()
@@ -623,7 +661,7 @@ func meanPre(res *scenario.TestbedResult) float64 {
 }
 
 func meanPost(res *scenario.TestbedResult) float64 {
-	rows := analysis.Table1(res.Rounds, res.CarIDs)
+	rows := analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 	var sum float64
 	for _, r := range rows {
 		sum += r.LostAfterPct()

@@ -19,6 +19,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -66,8 +67,9 @@ func runCorridor(rounds int, seed int64, cars int, speed float64, coop bool) {
 	}
 	fmt.Printf("corridor: %d Infostations %.0f m apart, %d rounds, coop=%v\n\n",
 		cfg.APCount, cfg.APSpacingM, rounds, coop)
+	indexed := trace.IndexRounds(res.Rounds)
 	for _, car := range res.CarIDs {
-		eff := analysis.CoverageEfficiency(res.Rounds, car, res.CarIDs)
+		eff := analysis.CoverageEfficiency(indexed, car, res.CarIDs)
 		fmt.Printf("car %v: coverage efficiency %.3f\n", car, eff)
 	}
 }
@@ -132,8 +134,7 @@ func runHighway(rounds int, seed int64, cars int, speed float64, coop bool) {
 	}
 	fmt.Printf("highway drive-thru: %d rounds, %d cars, %.1f m/s (%.0f km/h), coop=%v\n\n",
 		rounds, cars, cfg.SpeedMPS, cfg.SpeedMPS*3.6, coop)
-	rows := analysis.Table1(res.Rounds, res.CarIDs)
-	fmt.Print(analysis.FormatTable1(rows))
+	fmt.Print(analysis.FormatTable1(report.RowsFor(res.Rounds, res.CarIDs)))
 }
 
 func runDownload(seed int64, cars int, speed float64, coop bool) {

@@ -52,13 +52,13 @@ func main() {
 		counts.Tx, counts.Rx, counts.Drops, counts.Phases, counts.Recovered)
 
 	fmt.Println("per-car reception (own flow):")
+	idx := trace.NewIndex(col)
 	for _, car := range cars {
-		sent := col.DataSentSeqs(car)
-		direct := col.DirectRxSet(car, car)
-		held := col.HeldSet(car)
+		sent := idx.Sent(car).Len()
+		direct := idx.Direct(car, car).Len()
+		held := idx.Held(car).Len()
 		fmt.Printf("  car %v: %d sent, %d direct (%.1f%%), %d held after coop (%.1f%%)\n",
-			car, len(sent), len(direct), pct(len(direct), len(sent)),
-			len(held), pct(len(held), len(sent)))
+			car, sent, direct, pct(direct, sent), held, pct(held, sent))
 	}
 
 	fmt.Println("\ndrop breakdown:")

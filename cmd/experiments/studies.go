@@ -17,6 +17,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // The experiment catalogue. Registration order is the `-exp all` order.
@@ -130,7 +131,9 @@ func table1AndFigures(c *harness.Context) error {
 		return err
 	}
 
-	if err := c.Emit("table1.txt", harness.OutputRaw, report.Table1(res)); err != nil {
+	// Index the rounds once; Table 1 and every figure read the same sets.
+	rounds := trace.IndexRounds(res.Rounds)
+	if err := c.Emit("table1.txt", harness.OutputRaw, report.Table1Text(analysis.Table1(rounds, res.CarIDs))); err != nil {
 		return err
 	}
 	// The reproduction's Figure 2: the testbed map.
@@ -139,7 +142,7 @@ func table1AndFigures(c *harness.Context) error {
 	}
 
 	for i, flow := range res.CarIDs {
-		fig, err := report.NewReceptionFigure(res.Rounds, res.CarIDs, flow)
+		fig, err := report.ReceptionFigureOf(rounds, res.CarIDs, flow)
 		if err != nil {
 			return err
 		}
@@ -155,7 +158,7 @@ func table1AndFigures(c *harness.Context) error {
 		}
 	}
 	for i, car := range res.CarIDs {
-		fig, err := report.NewCoopFigure(res.Rounds, res.CarIDs, car)
+		fig, err := report.CoopFigureOf(rounds, res.CarIDs, car)
 		if err != nil {
 			return err
 		}
@@ -293,10 +296,10 @@ func apRetxAblation(c *harness.Context) error {
 		// several times, so "held" must be compared against distinct
 		// seqs offered.
 		var held, offered float64
-		for _, round := range res.Rounds {
+		for _, round := range trace.IndexRounds(res.Rounds) {
 			for _, car := range res.CarIDs {
-				held += float64(len(round.HeldSet(car)))
-				offered += float64(len(round.DataSentSeqs(car)))
+				held += float64(round.Held(car).Len())
+				offered += float64(round.Sent(car).Len())
 			}
 		}
 		n := float64(len(res.Rounds) * len(res.CarIDs))
@@ -623,8 +626,9 @@ func corridor(c *harness.Context) error {
 		if coop {
 			mode = "C-ARQ"
 		}
+		rounds := trace.IndexRounds(res.Rounds)
 		for _, car := range res.CarIDs {
-			eff := analysis.CoverageEfficiency(res.Rounds, car, res.CarIDs)
+			eff := analysis.CoverageEfficiency(rounds, car, res.CarIDs)
 			fmt.Fprintf(&out, "%-8s car %v: coverage efficiency %.3f\n", mode, car, eff)
 		}
 		out.WriteString("\n")
@@ -658,14 +662,15 @@ func recruitmentTTL(c *harness.Context) error {
 	out.WriteString("TTL    car3 mean gap   car3 post-coop%%\n")
 	for i, ttl := range ttls {
 		res := results[i]
-		lo, hi, ok := analysis.Window(res.Rounds, 3, res.CarIDs)
+		rounds := trace.IndexRounds(res.Rounds)
+		lo, hi, ok := analysis.Window(rounds, 3, res.CarIDs)
 		if !ok {
 			return fmt.Errorf("no window for car 3")
 		}
-		after := analysis.AfterCoopSeries(res.Rounds, 3, lo, hi)
-		joint := analysis.JointSeries(res.Rounds, 3, res.CarIDs, lo, hi)
+		after := analysis.AfterCoopSeries(rounds, 3, lo, hi)
+		joint := analysis.JointSeries(rounds, 3, res.CarIDs, lo, hi)
 		_, meanGap := analysis.OptimalityGap(after, joint)
-		rows := report.Table1Rows(res)
+		rows := analysis.Table1(rounds, res.CarIDs)
 		fmt.Fprintf(&out, "%-6v %13.4f %17.1f\n", ttl, meanGap, rows[2].LostAfterPct())
 	}
 	return c.Emit("ablation_ttl.txt", harness.OutputRaw, out.String())
@@ -702,14 +707,15 @@ func recoveryDynamics(c *harness.Context) error {
 		if batch {
 			name = "batched"
 		}
+		round := trace.NewIndex(res.Rounds[0])
 		for _, car := range res.CarIDs {
-			s := analysis.RecoveryDynamics(res.Rounds[0], car)
+			s := analysis.RecoveryDynamics(round, car)
 			if s.Len() == 0 {
 				continue
 			}
 			s.Name = fmt.Sprintf("car %v (%s)", car, name)
 			series = append(series, s)
-			half := analysis.HalfRecoveryTime(res.Rounds[0], car)
+			half := analysis.HalfRecoveryTime(round, car)
 			fmt.Fprintf(&out, "%-22s initial missing=%3.0f  final=%3.0f  half-recovery=%.1fs\n",
 				s.Name, s.Y[0], s.Y[s.Len()-1], half)
 		}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -41,8 +42,9 @@ func main() {
 		}
 		fmt.Printf("%s (%d Infostations, %.0f m apart, %.0f m road):\n",
 			mode, cfg.APCount, cfg.APSpacingM, res.RoadLengthM)
+		rounds := trace.IndexRounds(res.Rounds)
 		for _, car := range res.CarIDs {
-			eff := analysis.CoverageEfficiency(res.Rounds, car, res.CarIDs)
+			eff := analysis.CoverageEfficiency(rounds, car, res.CarIDs)
 			fmt.Printf("  car %v holds %.1f%% of the receivable stream\n", car, 100*eff)
 		}
 		fmt.Println()

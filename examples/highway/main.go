@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows := analysis.Table1(res.Rounds, res.CarIDs)
+		rows := analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 		var tx, pre, post float64
 		for _, r := range rows {
 			tx += r.TxByAP.Mean()

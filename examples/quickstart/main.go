@@ -93,12 +93,12 @@ func main() {
 	}
 
 	// 7. Report.
+	round := trace.NewIndex(collector)
 	for _, id := range []packet.NodeID{car1, car2} {
 		n := nodes[id]
 		st := n.Stats()
-		sent := collector.DataSentSeqs(id)
 		fmt.Printf("car %v: %d of %d packets direct, %d recovered via C-ARQ, %d still missing (phase %v)\n",
-			id, st.DataDirect, len(sent), st.Recovered, n.MissingCount(), n.Phase())
+			id, st.DataDirect, round.Sent(id).Len(), st.Recovered, n.MissingCount(), n.Phase())
 	}
 	fmt.Printf("car 2 answered %d requests for car 1\n", nodes[car2].Stats().ResponsesSent)
 }

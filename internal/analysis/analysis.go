@@ -3,8 +3,10 @@
 // probability curves of Figures 3–5, and the after-cooperation versus
 // joint-reception ("virtual car") comparison of Figures 6–8.
 //
-// All functions operate on one trace.Collector per experiment round,
-// mirroring the paper's 30 independent testbed rounds.
+// The Table 1, window, series, coverage and dynamics functions read one
+// trace.Index per experiment round, mirroring the paper's 30 independent
+// testbed rounds. Callers index a result set once (trace.IndexRounds) and
+// pass the same indexes to every table and figure drawn from it.
 package analysis
 
 import (
@@ -59,39 +61,29 @@ func (r *Table1Row) Improvement() float64 {
 	return 1 - r.LostAfter.Mean()/r.LostBefore.Mean()
 }
 
-// Table1 computes the paper's Table 1 from a set of round traces. The
+// Table1 computes the paper's Table 1 from a set of round indexes. The
 // reception window of a car in a round is [first, last] sequence received
 // directly from the AP, exactly the range the protocol's recovery targets.
 // Rounds in which a car received nothing are skipped for that car.
-func Table1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
+func Table1(rounds []*trace.Index, cars []packet.NodeID) []*Table1Row {
 	rows := make([]*Table1Row, len(cars))
 	for i, car := range cars {
 		rows[i] = &Table1Row{Car: car}
 	}
 	for _, round := range rounds {
 		for i, car := range cars {
-			direct := round.DirectRxSet(car, car)
-			if len(direct) == 0 {
+			direct := round.Direct(car, car)
+			first, ok := direct.Min()
+			if !ok {
 				continue
 			}
-			first, last := seqBounds(direct)
-			txN := 0
-			for _, seq := range round.DataSentSeqs(car) {
-				if seq >= first && seq <= last {
-					txN++
-				}
-			}
-			held := round.HeldSet(car)
-			heldN := 0
-			for seq := range held {
-				if seq >= first && seq <= last {
-					heldN++
-				}
-			}
+			last, _ := direct.Max()
+			txN := round.Sent(car).CountIn(first, last)
+			heldN := round.Held(car).CountIn(first, last)
 			row := rows[i]
 			row.Rounds++
 			row.TxByAP.Add(float64(txN))
-			row.LostBefore.Add(float64(txN - len(direct)))
+			row.LostBefore.Add(float64(txN - direct.Len()))
 			row.LostAfter.Add(float64(txN - heldN))
 		}
 	}
@@ -113,39 +105,20 @@ func FormatTable1(rows []*Table1Row) string {
 	return b.String()
 }
 
-// seqBounds returns the min and max keys of a non-empty set.
-func seqBounds(set map[uint32]bool) (lo, hi uint32) {
-	first := true
-	for s := range set {
-		if first {
-			lo, hi = s, s
-			first = false
-			continue
-		}
-		if s < lo {
-			lo = s
-		}
-		if s > hi {
-			hi = s
-		}
-	}
-	return lo, hi
-}
-
 // Window returns the sequence range over which reception curves are
 // plotted for a flow: the span from the earliest to the latest sequence
 // any of the cars received directly in any round (the union of all
 // reception windows, i.e. the paper's packet-number axis).
-func Window(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID) (lo, hi uint32, ok bool) {
-	first := true
+func Window(rounds []*trace.Index, flow packet.NodeID, cars []packet.NodeID) (lo, hi uint32, ok bool) {
 	for _, round := range rounds {
-		joint := round.JointRxSet(flow, cars...)
-		if len(joint) == 0 {
+		joint := round.Joint(flow, cars...)
+		l, found := joint.Min()
+		if !found {
 			continue
 		}
-		l, h := seqBounds(joint)
-		if first {
-			lo, hi, first = l, h, false
+		h, _ := joint.Max()
+		if !ok {
+			lo, hi, ok = l, h, true
 			continue
 		}
 		if l < lo {
@@ -155,51 +128,53 @@ func Window(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID)
 			hi = h
 		}
 	}
-	return lo, hi, !first
+	return lo, hi, ok
+}
+
+// probabilitySeries computes, for every s in [lo, hi], the fraction of
+// the per-round sets that contain s.
+func probabilitySeries(name string, sets []*packet.SeqSet, lo, hi uint32) *stats.Series {
+	s := &stats.Series{Name: name}
+	for seq := uint64(lo); seq <= uint64(hi); seq++ {
+		var p stats.Proportion
+		for _, set := range sets {
+			p.Add(set.Has(uint32(seq)))
+		}
+		s.Append(float64(seq), p.Estimate())
+	}
+	return s
 }
 
 // ReceptionSeries computes P(packet number s of `flow` is received
 // directly by `rx`) across rounds, for s in [lo, hi] — one curve of
 // Figures 3–5.
-func ReceptionSeries(rounds []*trace.Collector, flow, rx packet.NodeID, lo, hi uint32) *stats.Series {
-	s := &stats.Series{Name: fmt.Sprintf("Rx in %v of flow %v", rx, flow)}
-	for seq := lo; seq <= hi; seq++ {
-		var p stats.Proportion
-		for _, round := range rounds {
-			p.Add(round.DirectRxSet(rx, flow)[seq])
-		}
-		s.Append(float64(seq), p.Estimate())
+func ReceptionSeries(rounds []*trace.Index, flow, rx packet.NodeID, lo, hi uint32) *stats.Series {
+	sets := make([]*packet.SeqSet, len(rounds))
+	for i, round := range rounds {
+		sets[i] = round.Direct(rx, flow)
 	}
-	return s
+	return probabilitySeries(fmt.Sprintf("Rx in %v of flow %v", rx, flow), sets, lo, hi)
 }
 
 // AfterCoopSeries computes P(car holds its own packet s after the
 // Cooperative-ARQ phase) for s in [lo, hi] — the "after coop" curve of
 // Figures 6–8.
-func AfterCoopSeries(rounds []*trace.Collector, car packet.NodeID, lo, hi uint32) *stats.Series {
-	s := &stats.Series{Name: fmt.Sprintf("Rx in %v after coop", car)}
-	for seq := lo; seq <= hi; seq++ {
-		var p stats.Proportion
-		for _, round := range rounds {
-			p.Add(round.HeldSet(car)[seq])
-		}
-		s.Append(float64(seq), p.Estimate())
+func AfterCoopSeries(rounds []*trace.Index, car packet.NodeID, lo, hi uint32) *stats.Series {
+	sets := make([]*packet.SeqSet, len(rounds))
+	for i, round := range rounds {
+		sets[i] = round.Held(car)
 	}
-	return s
+	return probabilitySeries(fmt.Sprintf("Rx in %v after coop", car), sets, lo, hi)
 }
 
 // JointSeries computes P(packet s of `flow` was received directly by any
 // of the cars) — the paper's "Joint Rx in Car 1, 2 or 3" oracle curve.
-func JointSeries(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID, lo, hi uint32) *stats.Series {
-	s := &stats.Series{Name: fmt.Sprintf("Joint Rx of flow %v", flow)}
-	for seq := lo; seq <= hi; seq++ {
-		var p stats.Proportion
-		for _, round := range rounds {
-			p.Add(round.JointRxSet(flow, cars...)[seq])
-		}
-		s.Append(float64(seq), p.Estimate())
+func JointSeries(rounds []*trace.Index, flow packet.NodeID, cars []packet.NodeID, lo, hi uint32) *stats.Series {
+	sets := make([]*packet.SeqSet, len(rounds))
+	for i, round := range rounds {
+		sets[i] = round.Joint(flow, cars...)
 	}
-	return s
+	return probabilitySeries(fmt.Sprintf("Joint Rx of flow %v", flow), sets, lo, hi)
 }
 
 // CoverageEfficiency returns the mean (over rounds) fraction of the
@@ -208,21 +183,21 @@ func JointSeries(rounds []*trace.Collector, flow packet.NodeID, cars []packet.No
 // flow. It is the corridor scenario's headline metric — without
 // cooperation it equals the car's own hit rate; with C-ARQ it approaches
 // 1 because gaps are filled in the dark stretches between Infostations.
-func CoverageEfficiency(rounds []*trace.Collector, car packet.NodeID, cars []packet.NodeID) float64 {
+func CoverageEfficiency(rounds []*trace.Index, car packet.NodeID, cars []packet.NodeID) float64 {
 	var acc stats.Accumulator
 	for _, round := range rounds {
-		joint := round.JointRxSet(car, cars...)
-		if len(joint) == 0 {
+		joint := round.Joint(car, cars...)
+		if joint.Len() == 0 {
 			continue
 		}
-		held := round.HeldSet(car)
+		held := round.Held(car)
 		got := 0
-		for seq := range joint {
-			if held[seq] {
+		joint.Each(func(seq uint32) {
+			if held.Has(seq) {
 				got++
 			}
-		}
-		acc.Add(float64(got) / float64(len(joint)))
+		})
+		acc.Add(float64(got) / float64(joint.Len()))
 	}
 	return acc.Mean()
 }

@@ -53,6 +53,9 @@ func buildRound(n uint32, direct map[packet.NodeID][]uint32, recovered map[packe
 	return c
 }
 
+// index indexes fabricated rounds the way callers index a result set.
+func index(rounds ...*trace.Collector) []*trace.Index { return trace.IndexRounds(rounds) }
+
 func otherCar(c packet.NodeID) packet.NodeID {
 	if c == car1 {
 		return car2
@@ -67,7 +70,7 @@ func TestTable1SingleRound(t *testing.T) {
 		map[packet.NodeID][]uint32{car1: {2, 5, 9}, car2: {1, 10}},
 		map[packet.NodeID][]uint32{car1: {3, 4}},
 	)
-	rows := Table1([]*trace.Collector{round}, []packet.NodeID{car1, car2})
+	rows := Table1(index(round), []packet.NodeID{car1, car2})
 	r1 := rows[0]
 	if r1.Rounds != 1 {
 		t.Fatalf("rounds = %d", r1.Rounds)
@@ -97,7 +100,7 @@ func TestTable1SingleRound(t *testing.T) {
 func TestTable1SkipsEmptyRounds(t *testing.T) {
 	empty := buildRound(5, nil, nil)
 	full := buildRound(5, map[packet.NodeID][]uint32{car1: {1, 5}}, nil)
-	rows := Table1([]*trace.Collector{empty, full}, []packet.NodeID{car1})
+	rows := Table1(index(empty, full), []packet.NodeID{car1})
 	if rows[0].Rounds != 1 {
 		t.Fatalf("Rounds = %d, want 1 (empty round skipped)", rows[0].Rounds)
 	}
@@ -112,7 +115,7 @@ func TestTable1ZeroGuards(t *testing.T) {
 
 func TestFormatTable1(t *testing.T) {
 	round := buildRound(10, map[packet.NodeID][]uint32{car1: {1, 10}}, nil)
-	rows := Table1([]*trace.Collector{round}, []packet.NodeID{car1})
+	rows := Table1(index(round), []packet.NodeID{car1})
 	out := FormatTable1(rows)
 	if !strings.Contains(out, "Lost before coop") || !strings.Contains(out, "Mean") {
 		t.Fatalf("format output missing headers:\n%s", out)
@@ -122,7 +125,7 @@ func TestFormatTable1(t *testing.T) {
 func TestWindow(t *testing.T) {
 	r1 := buildRound(20, map[packet.NodeID][]uint32{car1: {3, 9}, car2: {5, 12}}, nil)
 	r2 := buildRound(20, map[packet.NodeID][]uint32{car1: {2, 8}}, nil)
-	lo, hi, ok := Window([]*trace.Collector{r1, r2}, car1, []packet.NodeID{car1, car2})
+	lo, hi, ok := Window(index(r1, r2), car1, []packet.NodeID{car1, car2})
 	if !ok {
 		t.Fatal("no window found")
 	}
@@ -142,7 +145,7 @@ func TestReceptionSeriesProbabilities(t *testing.T) {
 	// Seq 1 received in both rounds, seq 2 in one, seq 3 in none.
 	r1 := buildRound(3, map[packet.NodeID][]uint32{car1: {1, 2}}, nil)
 	r2 := buildRound(3, map[packet.NodeID][]uint32{car1: {1}}, nil)
-	s := ReceptionSeries([]*trace.Collector{r1, r2}, car1, car1, 1, 3)
+	s := ReceptionSeries(index(r1, r2), car1, car1, 1, 3)
 	if s.Len() != 3 {
 		t.Fatalf("series len = %d", s.Len())
 	}
@@ -166,7 +169,7 @@ func TestAfterCoopAndJointSeries(t *testing.T) {
 	c.OnRx(car2, packet.NewData(apID, car1, 2, nil), mac.RxMeta{At: 2 * time.Second}) // overheard by car2
 	c.OnRecovered(car1, 2, car2, 10*time.Second)
 
-	rounds := []*trace.Collector{c}
+	rounds := index(c)
 	after := AfterCoopSeries(rounds, car1, 1, 3)
 	joint := JointSeries(rounds, car1, []packet.NodeID{car1, car2}, 1, 3)
 	wantAfter := []float64{1, 1, 0}
@@ -190,7 +193,7 @@ func TestOptimalityGapDetectsShortfall(t *testing.T) {
 	c.OnTx(apID, packet.NewData(apID, car1, 1, nil), time.Second, time.Millisecond)
 	// Car 2 heard it, car 1 never recovered it.
 	c.OnRx(car2, packet.NewData(apID, car1, 1, nil), mac.RxMeta{At: time.Second})
-	rounds := []*trace.Collector{c}
+	rounds := index(c)
 	after := AfterCoopSeries(rounds, car1, 1, 1)
 	joint := JointSeries(rounds, car1, []packet.NodeID{car1, car2}, 1, 1)
 	maxGap, _ := OptimalityGap(after, joint)
@@ -205,19 +208,18 @@ func TestCoverageEfficiency(t *testing.T) {
 	c.OnRx(car1, packet.NewData(apID, car1, 1, nil), mac.RxMeta{})
 	c.OnRx(car1, packet.NewData(apID, car1, 2, nil), mac.RxMeta{})
 	c.OnRx(car2, packet.NewData(apID, car1, 3, nil), mac.RxMeta{})
-	rounds := []*trace.Collector{c}
 	cars := []packet.NodeID{car1, car2}
 	// Without recovery: car1 holds 2 of 3 receivable.
-	if got := CoverageEfficiency(rounds, car1, cars); math.Abs(got-2.0/3) > 1e-9 {
+	if got := CoverageEfficiency(index(c), car1, cars); math.Abs(got-2.0/3) > 1e-9 {
 		t.Fatalf("CoverageEfficiency = %v, want 2/3", got)
 	}
 	// After recovering seq 3: 3 of 3.
 	c.OnRecovered(car1, 3, car2, time.Minute)
-	if got := CoverageEfficiency(rounds, car1, cars); got != 1 {
+	if got := CoverageEfficiency(index(c), car1, cars); got != 1 {
 		t.Fatalf("CoverageEfficiency = %v, want 1", got)
 	}
 	// No receptions at all: zero (round skipped).
-	if got := CoverageEfficiency([]*trace.Collector{{}}, car1, cars); got != 0 {
+	if got := CoverageEfficiency(index(&trace.Collector{}), car1, cars); got != 0 {
 		t.Fatalf("CoverageEfficiency(empty) = %v", got)
 	}
 }
@@ -236,7 +238,7 @@ func TestSplitRegions(t *testing.T) {
 
 func TestRegionMeans(t *testing.T) {
 	r1 := buildRound(9, map[packet.NodeID][]uint32{car1: {1, 2, 3}}, nil)
-	s := ReceptionSeries([]*trace.Collector{r1}, car1, car1, 1, 9)
+	s := ReceptionSeries(index(r1), car1, car1, 1, 9)
 	regions := SplitRegions(1, 9)
 	m1, m2, m3 := regions.RegionMeans(s)
 	if m1 != 1 || m2 != 0 || m3 != 0 {

@@ -16,10 +16,10 @@ import (
 // pre-cooperation loss count inside its reception window; every recovery
 // event steps it down. This is the recovery-progress view the paper's
 // "repeated over the actualised, shorter list" prose describes.
-func RecoveryDynamics(round *trace.Collector, car packet.NodeID) *stats.Series {
+func RecoveryDynamics(round *trace.Index, car packet.NodeID) *stats.Series {
 	s := &stats.Series{Name: "missing packets, car " + car.String()}
 	var coopStart time.Duration = -1
-	for _, p := range round.Phases {
+	for _, p := range round.Round.Phases {
 		if p.Node == car && p.To == carq.PhaseCoopARQ {
 			coopStart = p.At
 			break
@@ -28,19 +28,20 @@ func RecoveryDynamics(round *trace.Collector, car packet.NodeID) *stats.Series {
 	if coopStart < 0 {
 		return s
 	}
-	direct := round.DirectRxSet(car, car)
-	if len(direct) == 0 {
+	direct := round.Direct(car, car)
+	first, ok := direct.Min()
+	if !ok {
 		return s
 	}
-	first, last := seqBounds(direct)
+	last, _ := direct.Max()
 	missing := 0
-	for _, seq := range round.DataSentSeqs(car) {
-		if seq >= first && seq <= last && !direct[seq] {
+	round.Sent(car).Each(func(seq uint32) {
+		if seq >= first && seq <= last && !direct.Has(seq) {
 			missing++
 		}
-	}
+	})
 	var recs []trace.RecoveryRecord
-	for _, r := range round.Recovered {
+	for _, r := range round.Round.Recovered {
 		if r.Node == car && r.At >= coopStart && r.Seq >= first && r.Seq <= last {
 			recs = append(recs, r)
 		}
@@ -59,7 +60,7 @@ func RecoveryDynamics(round *trace.Collector, car packet.NodeID) *stats.Series {
 // the car had recovered half of its recoverable losses, or -1 when it
 // never did. "Recoverable" means it was eventually recovered within the
 // round, so the metric describes the protocol's speed, not its ceiling.
-func HalfRecoveryTime(round *trace.Collector, car packet.NodeID) float64 {
+func HalfRecoveryTime(round *trace.Index, car packet.NodeID) float64 {
 	s := RecoveryDynamics(round, car)
 	if s.Len() < 2 {
 		return -1

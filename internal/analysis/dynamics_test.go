@@ -29,7 +29,7 @@ func dynamicsRound() *trace.Collector {
 }
 
 func TestRecoveryDynamics(t *testing.T) {
-	s := RecoveryDynamics(dynamicsRound(), car1)
+	s := RecoveryDynamics(trace.NewIndex(dynamicsRound()), car1)
 	if s.Len() != 4 {
 		t.Fatalf("series len = %d, want 4", s.Len())
 	}
@@ -45,7 +45,7 @@ func TestRecoveryDynamics(t *testing.T) {
 func TestRecoveryDynamicsNoCoopPhase(t *testing.T) {
 	c := &trace.Collector{}
 	c.OnRx(car1, packet.NewData(apID, car1, 1, nil), mac.RxMeta{})
-	if s := RecoveryDynamics(c, car1); s.Len() != 0 {
+	if s := RecoveryDynamics(trace.NewIndex(c), car1); s.Len() != 0 {
 		t.Fatalf("series without coop phase has %d points", s.Len())
 	}
 }
@@ -55,7 +55,7 @@ func TestRecoveryDynamicsIgnoresOutOfWindowRecoveries(t *testing.T) {
 	// A recovery outside the direct-reception window (seq 50) must not
 	// appear in the series.
 	c.OnRecovered(car1, 50, car2, 70*time.Second)
-	s := RecoveryDynamics(c, car1)
+	s := RecoveryDynamics(trace.NewIndex(c), car1)
 	if s.Len() != 4 {
 		t.Fatalf("out-of-window recovery counted: %d points", s.Len())
 	}
@@ -64,13 +64,13 @@ func TestRecoveryDynamicsIgnoresOutOfWindowRecoveries(t *testing.T) {
 func TestHalfRecoveryTime(t *testing.T) {
 	// Initial 8, final 5; target 6.5 -> first step at or below is y=6 at
 	// t=2.
-	if got := HalfRecoveryTime(dynamicsRound(), car1); math.Abs(got-2) > 1e-9 {
+	if got := HalfRecoveryTime(trace.NewIndex(dynamicsRound()), car1); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("HalfRecoveryTime = %v, want 2", got)
 	}
 	// No recoveries: -1.
 	c := &trace.Collector{}
 	c.OnPhaseChange(car1, carq.PhaseReception, carq.PhaseCoopARQ, time.Second)
-	if got := HalfRecoveryTime(c, car1); got != -1 {
+	if got := HalfRecoveryTime(trace.NewIndex(c), car1); got != -1 {
 		t.Fatalf("HalfRecoveryTime without recoveries = %v", got)
 	}
 }

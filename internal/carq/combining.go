@@ -74,7 +74,7 @@ func (n *Node) onCorruptFrame(f *packet.Frame, sinrDB float64) {
 	if f.Flow != n.cfg.ID {
 		return
 	}
-	if _, already := n.have[f.Seq]; already {
+	if n.held.Has(f.Seq) {
 		return
 	}
 	n.stats.CorruptCopies++
@@ -82,7 +82,7 @@ func (n *Node) onCorruptFrame(f *packet.Frame, sinrDB float64) {
 		return
 	}
 	// Combination succeeded: the packet decodes as if received.
-	n.have[f.Seq] = f.Payload
+	n.hold(f.Seq, f.Payload)
 	n.stats.Combined++
 	if f.Type == packet.TypeData {
 		// Combined original transmissions extend the direct-reception

@@ -54,13 +54,15 @@ type Node struct {
 	serveOrder map[packet.NodeID]int           // my response order for nodes that listed me
 	serveSeen  map[packet.NodeID]time.Duration // last HELLO from nodes I serve
 
-	// Own-flow reception state. ownMin/ownMax are the first and last
-	// sequence numbers received *directly* from the AP — the recovery
-	// range the paper prescribes.
-	have    map[uint32][]byte
-	ownMin  uint32
-	ownMax  uint32
-	ownSeen bool
+	// Own-flow reception state: held is every own-flow sequence held
+	// (direct or recovered), payloads their contents. ownMin/ownMax are
+	// the first and last sequence numbers received *directly* from the
+	// AP — the recovery range the paper prescribes.
+	held     packet.SeqSet
+	payloads map[uint32][]byte
+	ownMin   uint32
+	ownMax   uint32
+	ownSeen  bool
 
 	// Packets buffered for other platoon members: flow -> seq -> payload.
 	forOthers map[packet.NodeID]map[uint32][]byte
@@ -167,7 +169,7 @@ func NewNode(cfg Config, deps Deps) (*Node, error) {
 		cands:      make(map[packet.NodeID]*candidate),
 		serveOrder: make(map[packet.NodeID]int),
 		serveSeen:  make(map[packet.NodeID]time.Duration),
-		have:       make(map[uint32][]byte),
+		payloads:   make(map[uint32][]byte),
 		forOthers:  make(map[packet.NodeID]map[uint32][]byte),
 		pending:    make(map[respKey]*pendingResp),
 	}
@@ -206,19 +208,16 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // Have reports whether the node holds its own-flow packet seq (received
 // directly or recovered).
-func (n *Node) Have(seq uint32) bool {
-	_, ok := n.have[seq]
-	return ok
-}
+func (n *Node) Have(seq uint32) bool { return n.held.Has(seq) }
 
 // Payload returns the stored payload for an own-flow packet.
 func (n *Node) Payload(seq uint32) ([]byte, bool) {
-	p, ok := n.have[seq]
+	p, ok := n.payloads[seq]
 	return p, ok
 }
 
 // HaveCount returns the number of distinct own-flow packets held.
-func (n *Node) HaveCount() int { return len(n.have) }
+func (n *Node) HaveCount() int { return n.held.Len() }
 
 // OwnRange returns the first and last own-flow sequence received directly
 // from the AP; ok is false before any direct reception.
@@ -248,12 +247,7 @@ func (n *Node) missingInto(out []uint32) []uint32 {
 	if !n.ownSeen {
 		return out
 	}
-	for s := n.recoveryLo(); s <= n.ownMax; s++ {
-		if _, ok := n.have[s]; !ok {
-			out = append(out, s)
-		}
-	}
-	return out
+	return n.held.AppendAbsent(out, n.recoveryLo(), n.ownMax)
 }
 
 // MissingCount returns len(Missing()) without allocating.
@@ -261,13 +255,8 @@ func (n *Node) MissingCount() int {
 	if !n.ownSeen {
 		return 0
 	}
-	c := 0
-	for s := n.recoveryLo(); s <= n.ownMax; s++ {
-		if _, ok := n.have[s]; !ok {
-			c++
-		}
-	}
-	return c
+	lo := n.recoveryLo()
+	return int(n.ownMax-lo) + 1 - n.held.CountIn(lo, n.ownMax)
 }
 
 // Cooperators returns the node's current ordered cooperator list.
@@ -306,11 +295,10 @@ func (n *Node) onData(f *packet.Frame) {
 	// the no-coop baseline, which still receives its own flow.
 	n.onAPContact()
 	if f.Flow == n.cfg.ID {
-		if _, dup := n.have[f.Seq]; dup {
+		if !n.hold(f.Seq, f.Payload) {
 			n.stats.DataDuplicate++
 			return
 		}
-		n.have[f.Seq] = f.Payload
 		n.stats.DataDirect++
 		if !n.ownSeen {
 			n.ownMin, n.ownMax, n.ownSeen = f.Seq, f.Seq, true
@@ -332,6 +320,15 @@ func (n *Node) onData(f *packet.Frame) {
 	if _, serving := n.serveOrder[f.Flow]; serving || n.cfg.BufferForAll {
 		n.bufferFor(f.Flow, f.Seq, f.Payload)
 	}
+}
+
+// hold stores an own-flow packet and reports whether it was new.
+func (n *Node) hold(seq uint32, payload []byte) bool {
+	if !n.held.Add(seq) {
+		return false
+	}
+	n.payloads[seq] = payload
+	return true
 }
 
 func (n *Node) bufferFor(flow packet.NodeID, seq uint32, payload []byte) {
@@ -574,11 +571,10 @@ func (n *Node) onRequest(f *packet.Frame) {
 
 func (n *Node) onResponse(f *packet.Frame) {
 	if f.Dst == n.cfg.ID {
-		if _, dup := n.have[f.Seq]; dup {
+		if !n.hold(f.Seq, f.Payload) {
 			n.stats.RecoveredDuplicate++
 			return
 		}
-		n.have[f.Seq] = f.Payload
 		n.stats.Recovered++
 		n.obs.OnRecovered(n.cfg.ID, f.Seq, f.Src, n.ctx.Now())
 		if n.phase == PhaseCoopARQ && n.MissingCount() == 0 {

@@ -370,8 +370,8 @@ func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := analysis.Table1(direct.Rounds, direct.CarIDs)
-	got := analysis.Table1(pooled.Rounds, pooled.CarIDs)
+	want := analysis.Table1(trace.IndexRounds(direct.Rounds), direct.CarIDs)
+	got := analysis.Table1(trace.IndexRounds(pooled.Rounds), pooled.CarIDs)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("pooled testbed diverges from direct run:\n%+v\nvs\n%+v", want, got)
 	}

@@ -20,7 +20,12 @@ import (
 // Table1 renders the paper's Table 1 from a testbed run, with the
 // improvement column appended.
 func Table1(res *scenario.TestbedResult) string {
-	rows := analysis.Table1(res.Rounds, res.CarIDs)
+	return Table1Text(Table1Rows(res))
+}
+
+// Table1Text renders Table 1 rows in the paper's layout, with the
+// improvement column appended.
+func Table1Text(rows []*analysis.Table1Row) string {
 	var b strings.Builder
 	b.WriteString("Table 1. Average values on the number of packets received and lost in the cars.\n\n")
 	b.WriteString(analysis.FormatTable1(rows))
@@ -34,14 +39,14 @@ func Table1(res *scenario.TestbedResult) string {
 
 // Table1Rows exposes the raw rows for programmatic checks.
 func Table1Rows(res *scenario.TestbedResult) []*analysis.Table1Row {
-	return analysis.Table1(res.Rounds, res.CarIDs)
+	return RowsFor(res.Rounds, res.CarIDs)
 }
 
 // RowsFor computes Table-1 style rows for any scenario's round traces,
 // so non-testbed experiments (highway, two-way) get the same per-car
 // loss/improvement summary without faking a TestbedResult.
 func RowsFor(rounds []*trace.Collector, cars []packet.NodeID) []*analysis.Table1Row {
-	return analysis.Table1(rounds, cars)
+	return analysis.Table1(trace.IndexRounds(rounds), cars)
 }
 
 // ReceptionFigure renders Figure 3/4/5 for one car's flow: probability of
@@ -54,8 +59,15 @@ type ReceptionFigure struct {
 	Regions *analysis.RegionReport
 }
 
-// NewReceptionFigure computes the figure data for flow `flow`.
+// NewReceptionFigure computes the figure data for flow `flow` from round
+// traces; ReceptionFigureOf draws it from a result set's shared indexes.
 func NewReceptionFigure(rounds []*trace.Collector, cars []packet.NodeID, flow packet.NodeID) (*ReceptionFigure, error) {
+	return ReceptionFigureOf(trace.IndexRounds(rounds), cars, flow)
+}
+
+// ReceptionFigureOf computes the figure data for flow `flow` from the
+// rounds' indexes.
+func ReceptionFigureOf(rounds []*trace.Index, cars []packet.NodeID, flow packet.NodeID) (*ReceptionFigure, error) {
 	lo, hi, ok := analysis.Window(rounds, flow, cars)
 	if !ok {
 		return nil, fmt.Errorf("report: no reception window for flow %v", flow)
@@ -116,8 +128,15 @@ type CoopFigure struct {
 	MeanGap   float64
 }
 
-// NewCoopFigure computes the figure data for one car.
+// NewCoopFigure computes the figure data for one car from round traces;
+// CoopFigureOf draws it from a result set's shared indexes.
 func NewCoopFigure(rounds []*trace.Collector, cars []packet.NodeID, car packet.NodeID) (*CoopFigure, error) {
+	return CoopFigureOf(trace.IndexRounds(rounds), cars, car)
+}
+
+// CoopFigureOf computes the figure data for one car from the rounds'
+// indexes.
+func CoopFigureOf(rounds []*trace.Index, cars []packet.NodeID, car packet.NodeID) (*CoopFigure, error) {
 	lo, hi, ok := analysis.Window(rounds, car, cars)
 	if !ok {
 		return nil, fmt.Errorf("report: no reception window for car %v", car)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 func TestCanonical30Rounds(t *testing.T) {
@@ -15,12 +16,13 @@ func TestCanonical30Rounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := analysis.Table1(res.Rounds, res.CarIDs)
+	rounds := trace.IndexRounds(res.Rounds)
+	rows := analysis.Table1(rounds, res.CarIDs)
 	t.Logf("\n%s", analysis.FormatTable1(rows))
 	for _, car := range res.CarIDs {
-		lo, hi, _ := analysis.Window(res.Rounds, car, res.CarIDs)
-		after := analysis.AfterCoopSeries(res.Rounds, car, lo, hi)
-		joint := analysis.JointSeries(res.Rounds, car, res.CarIDs, lo, hi)
+		lo, hi, _ := analysis.Window(rounds, car, res.CarIDs)
+		after := analysis.AfterCoopSeries(rounds, car, lo, hi)
+		joint := analysis.JointSeries(rounds, car, res.CarIDs, lo, hi)
 		maxGap, meanGap := analysis.OptimalityGap(after, joint)
 		t.Logf("car%v: window %d..%d maxGap=%.3f meanGap=%.3f", car, lo, hi, maxGap, meanGap)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 func TestCorridorValidation(t *testing.T) {
@@ -37,8 +38,9 @@ func TestCorridorCoopClosesCoverageGap(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum float64
+		rounds := trace.IndexRounds(res.Rounds)
 		for _, car := range res.CarIDs {
-			sum += analysis.CoverageEfficiency(res.Rounds, car, res.CarIDs)
+			sum += analysis.CoverageEfficiency(rounds, car, res.CarIDs)
 		}
 		return sum / float64(len(res.CarIDs))
 	}

@@ -33,12 +33,10 @@ func TestFullStackInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	round := trace.NewIndex(col)
 	for _, car := range carIDs {
-		sentSet := make(map[uint32]bool)
-		for _, seq := range col.DataSentSeqs(car) {
-			sentSet[seq] = true
-		}
-		joint := col.JointRxSet(car, carIDs...)
+		sent := round.Sent(car)
+		joint := round.Joint(car, carIDs...)
 
 		seen := make(map[uint32]bool)
 		for _, rec := range col.Recovered {
@@ -49,10 +47,10 @@ func TestFullStackInvariants(t *testing.T) {
 				t.Errorf("car %v: sequence %d recovered twice", car, rec.Seq)
 			}
 			seen[rec.Seq] = true
-			if !sentSet[rec.Seq] {
+			if !sent.Has(rec.Seq) {
 				t.Errorf("car %v: recovered seq %d that the AP never sent", car, rec.Seq)
 			}
-			if !joint[rec.Seq] {
+			if !joint.Has(rec.Seq) {
 				t.Errorf("car %v: recovered seq %d that no car received off the air", car, rec.Seq)
 			}
 			if rec.From == car {
@@ -60,11 +58,11 @@ func TestFullStackInvariants(t *testing.T) {
 			}
 		}
 
-		for seq := range col.HeldSet(car) {
-			if !sentSet[seq] {
+		round.Held(car).Each(func(seq uint32) {
+			if !sent.Has(seq) {
 				t.Errorf("car %v: holds seq %d never sent on its flow", car, seq)
 			}
-		}
+		})
 	}
 }
 

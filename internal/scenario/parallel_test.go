@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 // TestParallelRoundsMatchSerial checks that parallel execution is an
@@ -27,7 +28,7 @@ func TestParallelRoundsMatchSerial(t *testing.T) {
 				t.Fatalf("round %d missing", i)
 			}
 		}
-		return analysis.Table1(res.Rounds, res.CarIDs)
+		return analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 	}
 	serial := run(false)
 	parallel := run(true)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 func TestDownloadCoopReducesVisits(t *testing.T) {
@@ -61,7 +62,7 @@ func TestHighwaySpeedShrinksWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := analysis.Table1(res.Rounds, res.CarIDs)
+		rows := analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 		var sum float64
 		for _, r := range rows {
 			sum += r.TxByAP.Mean()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 // runSmallTestbed runs a reduced-round testbed for tests.
@@ -67,8 +68,9 @@ func TestTestbedRoundShape(t *testing.T) {
 			t.Fatalf("round %d: empty trace %+v", i, c)
 		}
 		// Every car must have received something directly.
+		idx := trace.NewIndex(round)
 		for _, car := range res.CarIDs {
-			if len(round.DirectRxSet(car, car)) == 0 {
+			if idx.Direct(car, car).Len() == 0 {
 				t.Fatalf("round %d: car %v received nothing", i, car)
 			}
 		}
@@ -80,7 +82,7 @@ func TestTestbedCalibration(t *testing.T) {
 		t.Skip("calibration needs full rounds")
 	}
 	res := runSmallTestbed(t, 8, nil)
-	rows := analysis.Table1(res.Rounds, res.CarIDs)
+	rows := analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 	t.Logf("\n%s", analysis.FormatTable1(rows))
 	for i, row := range rows {
 		if row.Rounds == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/packet"
+	"repro/internal/trace"
 )
 
 // tinyTwoWay shrinks the scenario enough for fast tests while keeping
@@ -113,7 +114,7 @@ func TestTwoWayRelaysServe(t *testing.T) {
 
 func meanLostAfter(t *testing.T, res *TwoWayResult) float64 {
 	t.Helper()
-	rows := analysis.Table1(res.Rounds, res.CarIDs)
+	rows := analysis.Table1(trace.IndexRounds(res.Rounds), res.CarIDs)
 	var post float64
 	for _, row := range rows {
 		post += row.LostAfterPct()

@@ -2,8 +2,9 @@
 // transmission, reception, drop, protocol phase change and cooperative
 // recovery — mirroring the paper's methodology of capturing all traffic in
 // monitor mode and post-processing it offline. Collectors plug into both
-// the MAC (mac.Tracer) and the protocol (carq.Observer) and expose the
-// set/series queries the analysis layer is built on.
+// the MAC (mac.Tracer) and the protocol (carq.Observer). NewIndex turns a
+// round's collector into the dense sequence sets the analysis layer's
+// Table 1 and figure queries read.
 //
 // A collector has two encodings. JSON Lines (WriteJSONL/ReadJSONL) is
 // the export format, for carqsim/carqtrace and other tools. The binary
@@ -198,70 +199,6 @@ func (c *Collector) VehicleSeries(veh int) []VehicleRecord {
 	return out
 }
 
-// --- Queries -------------------------------------------------------------
-
-// DataSentSeqs returns the distinct DATA sequence numbers transmitted for
-// a flow, ascending.
-func (c *Collector) DataSentSeqs(flow packet.NodeID) []uint32 {
-	seen := make(map[uint32]bool)
-	var out []uint32
-	for _, r := range c.Tx {
-		if r.Type == packet.TypeData && r.Flow == flow && !seen[r.Seq] {
-			seen[r.Seq] = true
-			out = append(out, r.Seq)
-		}
-	}
-	sortU32(out)
-	return out
-}
-
-// DirectRxSet returns the sequence numbers of flow-f DATA frames that
-// station rx received directly off the air.
-func (c *Collector) DirectRxSet(rx, flow packet.NodeID) map[uint32]bool {
-	out := make(map[uint32]bool)
-	for _, r := range c.Rx {
-		if r.Type == packet.TypeData && r.Flow == flow && r.Dst == rx {
-			out[r.Seq] = true
-		}
-	}
-	return out
-}
-
-// JointRxSet returns the sequence numbers of flow-f DATA frames received
-// directly by ANY of the given stations — the paper's "virtual car" joint
-// reception.
-func (c *Collector) JointRxSet(flow packet.NodeID, stations ...packet.NodeID) map[uint32]bool {
-	out := make(map[uint32]bool)
-	for _, s := range stations {
-		for seq := range c.DirectRxSet(s, flow) {
-			out[seq] = true
-		}
-	}
-	return out
-}
-
-// RecoveredSet returns the sequence numbers node recovered via C-ARQ
-// (protocol-level events).
-func (c *Collector) RecoveredSet(node packet.NodeID) map[uint32]bool {
-	out := make(map[uint32]bool)
-	for _, r := range c.Recovered {
-		if r.Node == node {
-			out[r.Seq] = true
-		}
-	}
-	return out
-}
-
-// HeldSet returns everything node holds of its own flow at the end of the
-// round: direct receptions plus cooperative recoveries.
-func (c *Collector) HeldSet(node packet.NodeID) map[uint32]bool {
-	out := c.DirectRxSet(node, node)
-	for seq := range c.RecoveredSet(node) {
-		out[seq] = true
-	}
-	return out
-}
-
 // Counts summarises the event volume, for logging.
 type Counts struct {
 	Tx, Rx, Drops, Phases, Recovered, Completed, Vehicles int
@@ -273,13 +210,5 @@ func (c *Collector) Counts() Counts {
 		Tx: len(c.Tx), Rx: len(c.Rx), Drops: len(c.Drops),
 		Phases: len(c.Phases), Recovered: len(c.Recovered), Completed: len(c.Completed),
 		Vehicles: len(c.Vehicles),
-	}
-}
-
-func sortU32(xs []uint32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

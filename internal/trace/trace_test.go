@@ -40,18 +40,25 @@ func sampleCollector() *Collector {
 	return c
 }
 
+// seqs lists a set's members, ascending.
+func seqs(s *packet.SeqSet) []uint32 {
+	var out []uint32
+	s.Each(func(seq uint32) { out = append(out, seq) })
+	return out
+}
+
 func TestDataSentSeqs(t *testing.T) {
-	c := sampleCollector()
-	got := c.DataSentSeqs(1)
+	x := NewIndex(sampleCollector())
+	got := seqs(x.Sent(1))
 	want := []uint32{1, 2, 3}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DataSentSeqs(1) = %v, want %v", got, want)
+		t.Fatalf("Sent(1) = %v, want %v", got, want)
 	}
-	if got := c.DataSentSeqs(2); len(got) != 2 {
-		t.Fatalf("DataSentSeqs(2) = %v", got)
+	if got := x.Sent(2).Len(); got != 2 {
+		t.Fatalf("Sent(2) has %d seqs, want 2", got)
 	}
-	if got := c.DataSentSeqs(9); got != nil {
-		t.Fatalf("DataSentSeqs(9) = %v, want nil", got)
+	if got := x.Sent(9); got != nil {
+		t.Fatalf("Sent(9) = %v, want nil", seqs(got))
 	}
 }
 
@@ -60,35 +67,35 @@ func TestDataSentSeqsDeduplicates(t *testing.T) {
 	f := packet.NewData(100, 1, 5, nil)
 	c.OnTx(100, f, time.Second, time.Millisecond)
 	c.OnTx(100, f, 2*time.Second, time.Millisecond) // AP repeat
-	if got := c.DataSentSeqs(1); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("DataSentSeqs = %v, want [5]", got)
+	if got := seqs(NewIndex(c).Sent(1)); !reflect.DeepEqual(got, []uint32{5}) {
+		t.Fatalf("Sent = %v, want [5]", got)
 	}
 }
 
 func TestDirectAndJointRxSets(t *testing.T) {
-	c := sampleCollector()
-	direct1 := c.DirectRxSet(1, 1)
-	if !direct1[1] || direct1[2] || !direct1[3] {
-		t.Fatalf("DirectRxSet(1,1) = %v", direct1)
+	x := NewIndex(sampleCollector())
+	if got := seqs(x.Direct(1, 1)); !reflect.DeepEqual(got, []uint32{1, 3}) {
+		t.Fatalf("Direct(1,1) = %v, want [1 3]", got)
 	}
-	joint := c.JointRxSet(1, 1, 2, 3)
-	for seq := uint32(1); seq <= 3; seq++ {
-		if !joint[seq] {
-			t.Fatalf("JointRxSet missing seq %d: %v", seq, joint)
-		}
+	if got := seqs(x.Joint(1, 1, 2, 3)); !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
+		t.Fatalf("Joint(1; 1,2,3) = %v, want [1 2 3]", got)
+	}
+	if got := x.Joint(1, 3); got.Len() != 0 {
+		t.Fatalf("Joint(1; 3) = %v, want empty", seqs(got))
 	}
 }
 
 func TestHeldSetIncludesRecoveries(t *testing.T) {
-	c := sampleCollector()
-	held := c.HeldSet(1)
-	for seq := uint32(1); seq <= 3; seq++ {
-		if !held[seq] {
-			t.Fatalf("HeldSet(1) missing %d: %v", seq, held)
-		}
+	x := NewIndex(sampleCollector())
+	if got := seqs(x.Held(1)); !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
+		t.Fatalf("Held(1) = %v, want [1 2 3]", got)
 	}
-	if rec := c.RecoveredSet(1); !rec[2] || len(rec) != 1 {
-		t.Fatalf("RecoveredSet(1) = %v", rec)
+	if got := seqs(x.Recovered(1)); !reflect.DeepEqual(got, []uint32{2}) {
+		t.Fatalf("Recovered(1) = %v, want [2]", got)
+	}
+	// Car 2 received only car 1's flow: it holds nothing of its own.
+	if got := x.Held(2); got.Len() != 0 {
+		t.Fatalf("Held(2) = %v, want empty", seqs(got))
 	}
 }
 
@@ -199,15 +206,6 @@ func TestJSONLVehicleFloatExactness(t *testing.T) {
 		if got.Vehicles[i].Arc != v || got.Vehicles[i].Speed != v/7 {
 			t.Fatalf("float %d not exact: wrote %b read %b", i, v, got.Vehicles[i].Arc)
 		}
-	}
-}
-
-func TestSortU32(t *testing.T) {
-	xs := []uint32{5, 1, 4, 1, 3}
-	sortU32(xs)
-	want := []uint32{1, 1, 3, 4, 5}
-	if !reflect.DeepEqual(xs, want) {
-		t.Fatalf("sortU32 = %v", xs)
 	}
 }
 
