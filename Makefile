@@ -30,8 +30,10 @@ bench-traffic:
 
 # Machine-readable benchmark snapshot; the committed BENCH_<n>.json files
 # track the perf trajectory PR over PR. Two steps (not a pipe) so a
-# failed bench run cannot silently produce a truncated snapshot.
-BENCH_OUT ?= BENCH_7.json
+# failed bench run cannot silently produce a truncated snapshot. The
+# default output is one past the highest committed BENCH_<n>.json, so a
+# plain run never overwrites a snapshot.
+BENCH_OUT ?= BENCH_$(shell last=$$(ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -1); echo $$(($${last:-0} + 1))).json
 bench-json:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./... > bench.out.tmp
 	$(GO) run ./cmd/benchjson < bench.out.tmp > $(BENCH_OUT)

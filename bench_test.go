@@ -1,5 +1,5 @@
 // Package repro's top-level benchmark harness regenerates every table and
-// figure of the paper (see DESIGN.md's experiment index) and reports the
+// figure of the paper (see the README's experiment catalogue) and reports the
 // headline quantities as custom benchmark metrics, so a single
 //
 //	go test -bench=. -benchmem

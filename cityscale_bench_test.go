@@ -79,7 +79,6 @@ func runCityMedium(tb testing.TB, mcfg mac.MediumConfig, seed int64, fast bool) 
 	chCfg.FastMode = fast
 	ch := radio.MustChannel(chCfg)
 	m := mac.NewMediumWith(engine, ch, nil, mcfg)
-	defer m.Close()
 
 	var stations []*mac.Station
 	for i, ap := range aps {
@@ -164,10 +163,6 @@ func BenchmarkCityScale(b *testing.B) {
 	}{
 		{"indexed", mac.MediumConfig{}, false},
 		{"exhaustive", mac.MediumConfig{Exhaustive: true}, false},
-		// No dash before the worker count: benchjson strips one trailing
-		// -N (the GOMAXPROCS suffix), which would alias the two arms.
-		{"tiled2", mac.MediumConfig{TileWorkers: 2}, false},
-		{"tiled4", mac.MediumConfig{TileWorkers: 4}, false},
 		// The approximate fast channel mode on the indexed path: same
 		// workload, statistically-equivalent results (see the scenario
 		// equivalence gate), recorded so the exact/fast ratio is tracked.
@@ -216,8 +211,11 @@ func TestCityScaleIndexedSpeedup(t *testing.T) {
 // TestCityScaleFastSpeedup: the fast channel mode must not lose to exact
 // mode on the indexed city workload. The benchmark records the real
 // ratio (acceptance: >= 1.5x); as with the indexed/exhaustive guard,
-// only an outright inversion fails here so shared-CPU test runs cannot
-// flake.
+// only an outright inversion fails here. The true gap is only ~1.6x, so
+// a single timing of each mode can invert when another package's tests
+// steal the CPU mid-run; the two modes are therefore timed alternately
+// a few times and each keeps its fastest run, the usual estimate of a
+// workload's undisturbed cost.
 func TestCityScaleFastSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city-scale workload in -short mode")
@@ -226,12 +224,15 @@ func TestCityScaleFastSpeedup(t *testing.T) {
 		t.Skip("wall-clock ratio is meaningless under race instrumentation")
 	}
 	runCityMedium(t, mac.MediumConfig{}, 1, true) // warm caches both ways
-	start := time.Now()
-	runCityMedium(t, mac.MediumConfig{}, 2, false)
-	exact := time.Since(start)
-	start = time.Now()
-	runCityMedium(t, mac.MediumConfig{}, 2, true)
-	fast := time.Since(start)
+	timed := func(fast bool) time.Duration {
+		start := time.Now()
+		runCityMedium(t, mac.MediumConfig{}, 2, fast)
+		return time.Since(start)
+	}
+	exact, fast := timed(false), timed(true)
+	for rep := 1; rep < 3; rep++ {
+		exact, fast = min(exact, timed(false)), min(fast, timed(true))
+	}
 	ratio := float64(exact) / float64(fast)
 	t.Logf("exact=%v fast=%v speedup=%.2fx at %d stations", exact, fast, ratio, cityBenchVehicles+4)
 	if ratio < 1 {

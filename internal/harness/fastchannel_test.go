@@ -54,3 +54,87 @@ func TestBatchAppliesChannelMode(t *testing.T) {
 		t.Error("exact and fast unit configs share a result-store digest")
 	}
 }
+
+// TestBatchPreparesEveryFamily: every family method routes its config
+// through addPoint, so the point label becomes the sweep arm unless the
+// study set one, and the run's channel mode reaches the unit config. The
+// prepared config is on the result before Go runs anything.
+func TestBatchPreparesEveryFamily(t *testing.T) {
+	r := newTestRunner(t, 1)
+	r.opts.FastChannel = true
+	b := (&Context{runner: r, rec: &ExperimentRecord{}}).Batch()
+	families := map[string]func(arm string) scenario.Common{
+		"testbed": func(arm string) scenario.Common {
+			cfg := scenario.DefaultTestbed()
+			cfg.Arm = arm
+			return b.Testbed("pt", cfg).Config.Common
+		},
+		"highway": func(arm string) scenario.Common {
+			cfg := scenario.DefaultHighway()
+			cfg.Arm = arm
+			return b.Highway("pt", cfg).Config.Common
+		},
+		"corridor": func(arm string) scenario.Common {
+			cfg := scenario.DefaultCorridor()
+			cfg.Arm = arm
+			return b.Corridor("pt", cfg).Config.Common
+		},
+		"twoway": func(arm string) scenario.Common {
+			cfg := scenario.DefaultTwoWay()
+			cfg.Arm = arm
+			return b.TwoWay("pt", cfg).Config.Common
+		},
+		"download": func(arm string) scenario.Common {
+			cfg := scenario.DefaultDownload()
+			cfg.Arm = arm
+			return (*b.Download("pt", cfg)).Config.Common
+		},
+		"trafficgrid": func(arm string) scenario.Common {
+			cfg := scenario.DefaultTrafficGrid()
+			cfg.Arm = arm
+			return b.TrafficGrid("pt", cfg).Config.Common
+		},
+		"stopgo": func(arm string) scenario.Common {
+			cfg := scenario.DefaultStopGo()
+			cfg.Arm = arm
+			return b.StopGo("pt", cfg).Config.Common
+		},
+		"citydemand": func(arm string) scenario.Common {
+			cfg := scenario.DefaultCityDemand()
+			cfg.Arm = arm
+			return b.CityDemand("pt", cfg).Config.Common
+		},
+		"cityscale": func(arm string) scenario.Common {
+			cfg := scenario.DefaultCityScale()
+			cfg.Arm = arm
+			return b.CityScale("pt", cfg).Config.Common
+		},
+	}
+	if len(families) != 9 {
+		t.Fatalf("%d families, want 9", len(families))
+	}
+	for name, add := range families {
+		if got := add(""); got.Arm != "pt" || !got.FastChannel {
+			t.Errorf("%s: prepared %+v, want arm \"pt\" and fast channel", name, got)
+		}
+		if got := add("mine"); got.Arm != "mine" {
+			t.Errorf("%s: study-set arm overridden: %q", name, got.Arm)
+		}
+	}
+}
+
+// TestBatchRejectsBadDownloadAtGo: a download config that fails
+// DownloadConfig.Normalized fails Batch.Go like every other family's,
+// before any unit is added or run.
+func TestBatchRejectsBadDownloadAtGo(t *testing.T) {
+	b := (&Context{runner: newTestRunner(t, 1), rec: &ExperimentRecord{}}).Batch()
+	bad := scenario.DefaultDownload()
+	bad.FileBlocks = 0
+	b.Download("bad", bad)
+	if len(b.units) != 0 {
+		t.Fatalf("bad download config added %d units", len(b.units))
+	}
+	if err := b.Go(); err == nil {
+		t.Fatal("bad download config accepted")
+	}
+}

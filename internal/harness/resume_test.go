@@ -26,11 +26,26 @@ func resumeRunner(t *testing.T, storeDir string, rounds int, workers int) *Runne
 	return r
 }
 
-// syntheticStoredRounds drives addStoredRounds with a pure counting
-// compute function — the resume machinery without any simulation.
+// syntheticCfg drives addPoint with a pure counting compute function —
+// the resume machinery without any simulation. Its arm is preset to the
+// point label, so the prepared config (and digest) equals the literal.
 type syntheticCfg struct {
+	scenario.Common
 	Label string
 	Gain  int
+}
+
+func (c syntheticCfg) Normalized() (syntheticCfg, error) { return c, nil }
+
+func synthetic(gain int) syntheticCfg {
+	return syntheticCfg{Common: scenario.Common{Arm: "p0"}, Label: "p0", Gain: gain}
+}
+
+// addSynthetic adds rounds units of the synthetic point p0.
+func addSynthetic(b *Batch, cfg syntheticCfg, rounds int,
+	compute func(round int) (*UnitResult, error), apply func(int, *UnitResult) error) {
+	addPoint(b, "synthetic", "p0", cfg, func(syntheticCfg) int { return rounds },
+		func(_ syntheticCfg, round int) (*UnitResult, error) { return compute(round) }, apply)
 }
 
 func runSynthetic(t *testing.T, r *Runner, rounds int) (ctx *Context, out []int, computes *int) {
@@ -40,7 +55,7 @@ func runSynthetic(t *testing.T, r *Runner, rounds int) (ctx *Context, out []int,
 	computes = new(int)
 	var mu sync.Mutex
 	b := ctx.Batch()
-	b.addStoredRounds("synthetic", "p0", rounds, syntheticCfg{Label: "p0", Gain: 3},
+	addSynthetic(b, synthetic(3), rounds,
 		func(round int) (*UnitResult, error) {
 			mu.Lock()
 			*computes++
@@ -93,7 +108,7 @@ func TestStoredRoundsResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	deleted := []int{2, 5, 6}
-	digest := scenario.ConfigDigest(syntheticCfg{Label: "p0", Gain: 3})
+	digest := scenario.ConfigDigest(synthetic(3))
 	for _, round := range deleted {
 		key := ctx2.unitKey("synthetic", "p0", round, digest)
 		if err := os.Remove(store.Path(key)); err != nil {
@@ -130,7 +145,7 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 	computes := 0
 	var mu sync.Mutex
 	b := ctx.Batch()
-	b.addStoredRounds("synthetic", "p0", 4, syntheticCfg{Label: "p0", Gain: 4},
+	addSynthetic(b, synthetic(4), 4,
 		func(round int) (*UnitResult, error) {
 			mu.Lock()
 			computes++
@@ -235,7 +250,7 @@ func TestSharedStoreConcurrentRunners(t *testing.T) {
 			ctx := &Context{runner: r, rec: &ExperimentRecord{Name: "resume-probe"}}
 			out := make([]int, rounds)
 			b := ctx.Batch()
-			b.addStoredRounds("synthetic", "p0", rounds, syntheticCfg{Label: "p0", Gain: 3},
+			addSynthetic(b, synthetic(3), rounds,
 				func(round int) (*UnitResult, error) {
 					// Deterministic pure function of the unit identity, as the
 					// store contract requires of every real scenario round.

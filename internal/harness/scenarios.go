@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -13,18 +12,19 @@ import (
 
 // Batch accumulates (scenario, parameter-point, round) work units across
 // parameter points so one Go() call can saturate the pool with every
-// round of every point at once. Results returned by the AddX methods are
-// filled in when Go returns; reading them earlier is a bug.
+// round of every point at once. Results returned by the family methods
+// are filled in when Go returns; reading their rounds earlier is a bug.
 //
-// Every method keys the config's sweep arm (scenario's Arm field) by the
-// parameter-point label unless the study set one explicitly, so different
-// arms of one sweep draw independent channel/protocol randomness — no two
-// arms share a fading realization — while their expensive traffic worlds
-// stay shared through the (seed, round)-keyed caches.
+// Every family method goes through addPoint, which keys the config's
+// sweep arm (scenario.Common.Arm) by the parameter-point label unless
+// the study set one explicitly, so different arms of one sweep draw
+// independent channel/protocol randomness — no two arms share a fading
+// realization — while their expensive traffic worlds stay shared through
+// the (seed, round)-keyed caches.
 //
 // Every unit resolves against the runner's result store (when one is
 // configured) before computing: the unit key is the root seed, the full
-// unit identity and a digest of the normalized config plus the code
+// unit identity and a digest of the prepared config plus the code
 // digest, so re-running a sweep only computes units whose key changed
 // and interrupted sweeps resume where they stopped.
 type Batch struct {
@@ -36,30 +36,6 @@ type Batch struct {
 
 // Batch starts an empty work-unit batch.
 func (c *Context) Batch() *Batch { return &Batch{ctx: c} }
-
-// applyTileBudget applies the run's resolved intra-simulation worker
-// budget (Context.TileWorkers) to one unit's medium config. A config
-// that pins its own TileWorkers wins; traces are byte-identical at any
-// worker count, so this only decides scheduling — but it runs before
-// the config digest is taken, so stored units keyed under one budget
-// are never served to a sweep requesting another.
-func (b *Batch) applyTileBudget(m *mac.MediumConfig) {
-	if m.TileWorkers == 0 {
-		m.TileWorkers = b.ctx.TileWorkers()
-	}
-}
-
-// applyChannelMode applies the run's channel mode (-fast-channel) to one
-// unit's scenario config; a config that already requested the fast mode
-// keeps it. Unlike the tile budget this changes results — fast mode is
-// statistically equivalent, not byte-identical — which is exactly why it
-// too must run before the config digest is taken: a stored exact-mode
-// unit must never be served to a fast-mode sweep, or vice versa.
-func (b *Batch) applyChannelMode(fast *bool) {
-	if b.ctx.FastChannel() {
-		*fast = true
-	}
-}
 
 // Go executes every accumulated unit on the shared pool, then runs the
 // finalisers that stitch per-round outputs into the returned results.
@@ -80,6 +56,113 @@ func (b *Batch) Go() error {
 		fin()
 	}
 	return nil
+}
+
+// sweepConfig is what addPoint needs of a family's config: its
+// normalisation and, through the pointer, its embedded scenario.Common.
+type sweepConfig[C any] interface {
+	*C
+	Normalized() (C, error)
+	Shared() *scenario.Common
+}
+
+// addPoint is the one path every family's parameter point takes into a
+// batch. It normalises cfg (a bad config fails Go), keys the sweep arm
+// by the point label unless the study set one, applies the run's channel
+// mode (-fast-channel; a config that asked for fast mode keeps it), then
+// adds one unit per round under the digest of the prepared config. Arm
+// and mode both change results, which is why they are applied before
+// the digest is taken: a stored unit of one arm or mode is never served
+// to another.
+//
+// start receives the prepared config once, sizes the caller's result for
+// it and returns the unit count. Each unit then resolves through the
+// result store: a stored result goes straight to apply, a miss runs
+// compute, applies and persists the result. apply writes a result into
+// the round's own slot of the caller's storage.
+func addPoint[C any, P sweepConfig[C]](b *Batch, family, point string, cfg C,
+	start func(cfg C) int,
+	compute func(cfg C, round int) (*UnitResult, error),
+	apply func(round int, res *UnitResult) error) {
+	ncfg, err := P(&cfg).Normalized()
+	if err != nil {
+		b.cfgErrors = append(b.cfgErrors, err)
+		return
+	}
+	common := P(&ncfg).Shared()
+	if common.Arm == "" {
+		common.Arm = point
+	}
+	if b.ctx.FastChannel() {
+		common.FastChannel = true
+	}
+	rounds := start(ncfg)
+	digest := scenario.ConfigDigest(ncfg)
+	for i := 0; i < rounds; i++ {
+		i := i
+		key := b.ctx.unitKey(family, point, i, digest)
+		b.units = append(b.units, Unit{
+			Scenario: family,
+			Point:    point,
+			Round:    i,
+			Run: func() error {
+				if res := b.ctx.loadUnit(key); res != nil {
+					return apply(i, res)
+				}
+				res, err := compute(ncfg, i)
+				if err != nil {
+					return err
+				}
+				if err := apply(i, res); err != nil {
+					return err
+				}
+				b.ctx.saveUnit(key, res)
+				return nil
+			},
+		})
+	}
+}
+
+// traces allocates a point's per-round protocol-trace slots and
+// registers them for recycling once the experiment completes.
+func (b *Batch) traces(rounds int) []*trace.Collector {
+	cols := make([]*trace.Collector, rounds)
+	b.ctx.RecycleTraces(cols)
+	return cols
+}
+
+// protocolRound adapts a family's round function to addPoint's compute.
+func protocolRound[C any](round func(C, int) (*trace.Collector, error)) func(C, int) (*UnitResult, error) {
+	return func(cfg C, r int) (*UnitResult, error) {
+		col, err := round(cfg, r)
+		return &UnitResult{Protocol: col}, err
+	}
+}
+
+// trafficRound adapts a traffic family's round function, which also
+// returns the recorded vehicle stream, to addPoint's compute.
+func trafficRound[C any](round func(C, int) (*trace.Collector, *trace.Collector, error)) func(C, int) (*UnitResult, error) {
+	return func(cfg C, r int) (*UnitResult, error) {
+		col, stream, err := round(cfg, r)
+		return &UnitResult{Protocol: col, Traffic: stream}, err
+	}
+}
+
+// intoRounds applies a unit by storing its protocol trace in rounds[r];
+// intoTraffic also stores its traffic stream. Both take the slices by
+// pointer because start allocates them after the closures are built.
+func intoRounds(rounds *[]*trace.Collector) func(int, *UnitResult) error {
+	return func(r int, u *UnitResult) error {
+		(*rounds)[r] = u.Protocol
+		return nil
+	}
+}
+
+func intoTraffic(rounds, traffic *[]*trace.Collector) func(int, *UnitResult) error {
+	return func(r int, u *UnitResult) error {
+		(*rounds)[r], (*traffic)[r] = u.Protocol, u.Traffic
+		return nil
+	}
 }
 
 // roundMeta is the scenario-agnostic sidecar of one stored round.
@@ -103,41 +186,6 @@ func marshalMeta(v any) (json.RawMessage, error) {
 	return data, nil
 }
 
-// addStoredRounds adds one unit per round, each resolving through the
-// result store: a stored result applies directly, a miss computes,
-// applies and persists. cfg is the normalized config whose digest
-// (scenario.ConfigDigest) anchors the unit keys; compute runs the
-// simulation for one round; apply writes a result — computed or loaded —
-// into the round's own slot of caller-owned storage.
-func (b *Batch) addStoredRounds(scenarioName, point string, rounds int, cfg any,
-	compute func(round int) (*UnitResult, error),
-	apply func(round int, res *UnitResult) error) {
-	digest := scenario.ConfigDigest(cfg)
-	for i := 0; i < rounds; i++ {
-		i := i
-		key := b.ctx.unitKey(scenarioName, point, i, digest)
-		b.units = append(b.units, Unit{
-			Scenario: scenarioName,
-			Point:    point,
-			Round:    i,
-			Run: func() error {
-				if res := b.ctx.loadUnit(key); res != nil {
-					return apply(i, res)
-				}
-				res, err := compute(i)
-				if err != nil {
-					return err
-				}
-				if err := apply(i, res); err != nil {
-					return err
-				}
-				b.ctx.saveUnit(key, res)
-				return nil
-			},
-		})
-	}
-}
-
 // unmarshalRoundMeta tolerates an absent meta section (zero value) so
 // stores written by leaner scenarios stay loadable.
 func unmarshalRoundMeta(res *UnitResult) (roundMeta, error) {
@@ -151,151 +199,68 @@ func unmarshalRoundMeta(res *UnitResult) (roundMeta, error) {
 	return m, nil
 }
 
-// Testbed adds every round of one urban-testbed parameter point. The
-// returned result is filled when Go returns.
+// apIDs lists the Infostation IDs of a city point.
+func apIDs(n int) []packet.NodeID {
+	ids := make([]packet.NodeID, n)
+	for i := range ids {
+		ids[i] = scenario.APID + packet.NodeID(i)
+	}
+	return ids
+}
+
+// Testbed adds every round of one urban-testbed parameter point.
 func (b *Batch) Testbed(point string, cfg scenario.TestbedConfig) *scenario.TestbedResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.TestbedResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	// The pool owns concurrency; a nested parallel loop would only fight
-	// it for cores.
-	ncfg.Parallel = false
-	res := &scenario.TestbedResult{
-		Config: ncfg,
-		CarIDs: scenario.CarIDs(ncfg.Cars),
-		Rounds: make([]*trace.Collector, ncfg.Rounds),
-	}
-	durs := make([]time.Duration, ncfg.Rounds)
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("testbed", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, dur, err := scenario.TestbedRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			meta, err := marshalMeta(roundMeta{DurationNS: int64(dur)})
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Meta: meta, Protocol: col}, nil
-		},
-		func(round int, u *UnitResult) error {
-			m, err := unmarshalRoundMeta(u)
-			if err != nil {
-				return err
-			}
-			res.Rounds[round], durs[round] = u.Protocol, time.Duration(m.DurationNS)
-			return nil
-		})
-	b.finalize = append(b.finalize, func() { res.RoundDuration = durs[0] })
+	res := &scenario.TestbedResult{}
+	var durs []time.Duration
+	addPoint(b, "testbed", point, cfg, func(c scenario.TestbedConfig) int {
+		*res = scenario.TestbedResult{Config: c, CarIDs: scenario.CarIDs(c.Cars), Rounds: b.traces(c.Rounds)}
+		durs = make([]time.Duration, c.Rounds)
+		b.finalize = append(b.finalize, func() { res.RoundDuration = durs[0] })
+		return c.Rounds
+	}, func(c scenario.TestbedConfig, round int) (*UnitResult, error) {
+		col, dur, err := scenario.TestbedRound(c, round)
+		if err != nil {
+			return nil, err
+		}
+		meta, err := marshalMeta(roundMeta{DurationNS: int64(dur)})
+		return &UnitResult{Meta: meta, Protocol: col}, err
+	}, func(round int, u *UnitResult) error {
+		m, err := unmarshalRoundMeta(u)
+		res.Rounds[round], durs[round] = u.Protocol, time.Duration(m.DurationNS)
+		return err
+	})
 	return res
 }
 
 // Highway adds every round of one drive-thru parameter point.
 func (b *Batch) Highway(point string, cfg scenario.HighwayConfig) *scenario.HighwayResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.HighwayResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.HighwayResult{
-		Config: ncfg,
-		CarIDs: scenario.CarIDs(ncfg.Cars),
-		Rounds: make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("highway", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, err := scenario.HighwayRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round] = u.Protocol
-			return nil
-		})
+	res := &scenario.HighwayResult{}
+	addPoint(b, "highway", point, cfg, func(c scenario.HighwayConfig) int {
+		*res = scenario.HighwayResult{Config: c, CarIDs: scenario.CarIDs(c.Cars), Rounds: b.traces(c.Rounds)}
+		return c.Rounds
+	}, protocolRound(scenario.HighwayRound), intoRounds(&res.Rounds))
 	return res
 }
 
 // Corridor adds every round of one multi-Infostation parameter point.
 func (b *Batch) Corridor(point string, cfg scenario.CorridorConfig) *scenario.CorridorResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.CorridorResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.CorridorResult{
-		Config:      ncfg,
-		CarIDs:      scenario.CarIDs(ncfg.Cars),
-		RoadLengthM: scenario.CorridorRoadLength(ncfg),
-		Rounds:      make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("corridor", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, err := scenario.CorridorRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round] = u.Protocol
-			return nil
-		})
+	res := &scenario.CorridorResult{}
+	addPoint(b, "corridor", point, cfg, func(c scenario.CorridorConfig) int {
+		*res = scenario.CorridorResult{Config: c, CarIDs: scenario.CarIDs(c.Cars),
+			RoadLengthM: scenario.CorridorRoadLength(c), Rounds: b.traces(c.Rounds)}
+		return c.Rounds
+	}, protocolRound(scenario.CorridorRound), intoRounds(&res.Rounds))
 	return res
 }
 
 // TwoWay adds every round of one two-way-highway parameter point.
 func (b *Batch) TwoWay(point string, cfg scenario.TwoWayConfig) *scenario.TwoWayResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.TwoWayResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.TwoWayResult{
-		Config:   ncfg,
-		CarIDs:   scenario.CarIDs(ncfg.Cars),
-		RelayIDs: scenario.TwoWayRelayIDs(ncfg.RelayCars),
-		Rounds:   make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("twoway", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, err := scenario.TwoWayRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round] = u.Protocol
-			return nil
-		})
+	res := &scenario.TwoWayResult{}
+	addPoint(b, "twoway", point, cfg, func(c scenario.TwoWayConfig) int {
+		*res = scenario.TwoWayResult{Config: c, CarIDs: scenario.CarIDs(c.Cars),
+			RelayIDs: scenario.TwoWayRelayIDs(c.RelayCars), Rounds: b.traces(c.Rounds)}
+		return c.Rounds
+	}, protocolRound(scenario.TwoWayRound), intoRounds(&res.Rounds))
 	return res
 }
 
@@ -303,259 +268,92 @@ func (b *Batch) TwoWay(point string, cfg scenario.TwoWayConfig) *scenario.TwoWay
 // point. Per-round traffic streams land in the result alongside the
 // protocol traces.
 func (b *Batch) TrafficGrid(point string, cfg scenario.TrafficGridConfig) *scenario.TrafficGridResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.TrafficGridResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.TrafficGridResult{
-		Config:  ncfg,
-		CarIDs:  scenario.CarIDs(ncfg.Cars),
-		Rounds:  make([]*trace.Collector, ncfg.Rounds),
-		Traffic: make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("trafficgrid", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, err := scenario.TrafficGridRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round], res.Traffic[round] = u.Protocol, u.Traffic
-			return nil
-		})
-	return res
-}
-
-// CityScale adds every round of one city-scale parameter point.
-func (b *Batch) CityScale(point string, cfg scenario.CityScaleConfig) *scenario.CityScaleResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.CityScaleResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.CityScaleResult{
-		Config:  ncfg,
-		CarIDs:  scenario.CarIDs(ncfg.Cars),
-		Rounds:  make([]*trace.Collector, ncfg.Rounds),
-		Traffic: make([]*trace.Collector, ncfg.Rounds),
-	}
-	for i := 0; i < ncfg.APs; i++ {
-		res.APIDs = append(res.APIDs, scenario.APID+packet.NodeID(i))
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("cityscale", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, err := scenario.CityScaleRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round], res.Traffic[round] = u.Protocol, u.Traffic
-			return nil
-		})
-	return res
-}
-
-// CityDemand adds every round of one demand-driven city parameter point.
-func (b *Batch) CityDemand(point string, cfg scenario.CityDemandConfig) *scenario.CityDemandResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.CityDemandResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.CityDemandResult{
-		Config:   ncfg,
-		CarIDs:   scenario.CarIDs(ncfg.Cars),
-		Rounds:   make([]*trace.Collector, ncfg.Rounds),
-		Traffic:  make([]*trace.Collector, ncfg.Rounds),
-		Vehicles: make([]int, ncfg.Rounds),
-	}
-	for i := 0; i < ncfg.APs; i++ {
-		res.APIDs = append(res.APIDs, scenario.APID+packet.NodeID(i))
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("citydemand", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, vehicles, err := scenario.CityDemandRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			meta, err := marshalMeta(roundMeta{Vehicles: vehicles})
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Meta: meta, Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			m, err := unmarshalRoundMeta(u)
-			if err != nil {
-				return err
-			}
-			res.Rounds[round], res.Traffic[round], res.Vehicles[round] = u.Protocol, u.Traffic, m.Vehicles
-			return nil
-		})
+	res := &scenario.TrafficGridResult{}
+	addPoint(b, "trafficgrid", point, cfg, func(c scenario.TrafficGridConfig) int {
+		*res = scenario.TrafficGridResult{Config: c, CarIDs: scenario.CarIDs(c.Cars),
+			Rounds: b.traces(c.Rounds), Traffic: make([]*trace.Collector, c.Rounds)}
+		return c.Rounds
+	}, trafficRound(scenario.TrafficGridRound), intoTraffic(&res.Rounds, &res.Traffic))
 	return res
 }
 
 // StopGo adds every round of one congested-highway parameter point.
 func (b *Batch) StopGo(point string, cfg scenario.StopGoConfig) *scenario.StopGoResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.StopGoResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyTileBudget(&ncfg.Medium)
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.StopGoResult{
-		Config:  ncfg,
-		CarIDs:  scenario.CarIDs(ncfg.Cars),
-		Rounds:  make([]*trace.Collector, ncfg.Rounds),
-		Traffic: make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("stopgo", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, err := scenario.StopGoRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round], res.Traffic[round] = u.Protocol, u.Traffic
-			return nil
-		})
+	res := &scenario.StopGoResult{}
+	addPoint(b, "stopgo", point, cfg, func(c scenario.StopGoConfig) int {
+		*res = scenario.StopGoResult{Config: c, CarIDs: scenario.CarIDs(c.Cars),
+			Rounds: b.traces(c.Rounds), Traffic: make([]*trace.Collector, c.Rounds)}
+		return c.Rounds
+	}, trafficRound(scenario.StopGoRound), intoTraffic(&res.Rounds, &res.Traffic))
+	return res
+}
+
+// CityScale adds every round of one city-scale parameter point.
+func (b *Batch) CityScale(point string, cfg scenario.CityScaleConfig) *scenario.CityScaleResult {
+	res := &scenario.CityScaleResult{}
+	addPoint(b, "cityscale", point, cfg, func(c scenario.CityScaleConfig) int {
+		*res = scenario.CityScaleResult{Config: c, CarIDs: scenario.CarIDs(c.Cars), APIDs: apIDs(c.APs),
+			Rounds: b.traces(c.Rounds), Traffic: make([]*trace.Collector, c.Rounds)}
+		return c.Rounds
+	}, trafficRound(scenario.CityScaleRound), intoTraffic(&res.Rounds, &res.Traffic))
+	return res
+}
+
+// CityDemand adds every round of one demand-driven city parameter point.
+func (b *Batch) CityDemand(point string, cfg scenario.CityDemandConfig) *scenario.CityDemandResult {
+	res := &scenario.CityDemandResult{}
+	addPoint(b, "citydemand", point, cfg, func(c scenario.CityDemandConfig) int {
+		*res = scenario.CityDemandResult{Config: c, CarIDs: scenario.CarIDs(c.Cars), APIDs: apIDs(c.APs),
+			Rounds: b.traces(c.Rounds), Traffic: make([]*trace.Collector, c.Rounds), Vehicles: make([]int, c.Rounds)}
+		return c.Rounds
+	}, func(c scenario.CityDemandConfig, round int) (*UnitResult, error) {
+		col, stream, vehicles, err := scenario.CityDemandRound(c, round)
+		if err != nil {
+			return nil, err
+		}
+		meta, err := marshalMeta(roundMeta{Vehicles: vehicles})
+		return &UnitResult{Meta: meta, Protocol: col, Traffic: stream}, err
+	}, func(round int, u *UnitResult) error {
+		m, err := unmarshalRoundMeta(u)
+		res.Rounds[round], res.Traffic[round], res.Vehicles[round] = u.Protocol, u.Traffic, m.Vehicles
+		return err
+	})
 	return res
 }
 
 // Download adds one multi-lap file-download point as a single unit (the
 // download scenario is one continuous simulation, not rounds). The
-// stored form carries the post-normalisation config and per-car
-// summaries in the meta section and the trace as the protocol section.
+// stored form carries the per-car summaries in the meta section and the
+// trace as the protocol section.
 func (b *Batch) Download(point string, cfg scenario.DownloadConfig) **scenario.DownloadResult {
-	if cfg.Arm == "" {
-		cfg.Arm = point
-	}
-	b.applyTileBudget(&cfg.Medium)
-	b.applyChannelMode(&cfg.FastChannel)
 	res := new(*scenario.DownloadResult)
-	b.addStoredRounds("download", point, 1, cfg,
-		func(int) (*UnitResult, error) {
-			r, err := scenario.RunDownload(cfg)
-			if err != nil {
-				return nil, err
-			}
-			meta, err := marshalMeta(downloadMeta{
-				Config:    r.Config,
-				Cars:      r.Cars,
-				LapTimeNS: int64(r.LapTime),
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Meta: meta, Protocol: r.Trace}, nil
-		},
-		func(_ int, u *UnitResult) error {
-			var m downloadMeta
-			if err := json.Unmarshal(u.Meta, &m); err != nil {
-				return fmt.Errorf("harness: download meta: %w", err)
-			}
-			*res = &scenario.DownloadResult{
-				Config:  m.Config,
-				Cars:    m.Cars,
-				Trace:   u.Protocol,
-				LapTime: time.Duration(m.LapTimeNS),
-			}
-			return nil
-		})
-	// The download result is a pointer filled by the unit; register its
-	// trace once Go has resolved it.
-	b.finalize = append(b.finalize, func() {
-		if *res != nil {
-			b.ctx.RecycleTraces([]*trace.Collector{(*res).Trace})
+	addPoint(b, "download", point, cfg, func(c scenario.DownloadConfig) int {
+		*res = &scenario.DownloadResult{Config: c}
+		// The trace is known once Go has resolved the unit.
+		b.finalize = append(b.finalize, func() { b.ctx.RecycleTraces([]*trace.Collector{(*res).Trace}) })
+		return 1
+	}, func(c scenario.DownloadConfig, _ int) (*UnitResult, error) {
+		r, err := scenario.RunDownload(c)
+		if err != nil {
+			return nil, err
 		}
+		meta, err := marshalMeta(downloadMeta{Config: r.Config, Cars: r.Cars, LapTimeNS: int64(r.LapTime)})
+		return &UnitResult{Meta: meta, Protocol: r.Trace}, err
+	}, func(_ int, u *UnitResult) error {
+		var m downloadMeta
+		if err := json.Unmarshal(u.Meta, &m); err != nil {
+			return fmt.Errorf("harness: download meta: %w", err)
+		}
+		*res = &scenario.DownloadResult{Config: m.Config, Cars: m.Cars, Trace: u.Protocol, LapTime: time.Duration(m.LapTimeNS)}
+		return nil
 	})
 	return res
-}
-
-// TrafficGrid runs a single urban-grid point through the pool.
-func (c *Context) TrafficGrid(point string, cfg scenario.TrafficGridConfig) (*scenario.TrafficGridResult, error) {
-	b := c.Batch()
-	res := b.TrafficGrid(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// StopGo runs a single congested-highway point through the pool.
-func (c *Context) StopGo(point string, cfg scenario.StopGoConfig) (*scenario.StopGoResult, error) {
-	b := c.Batch()
-	res := b.StopGo(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Testbed runs a single testbed point through the pool.
 func (c *Context) Testbed(point string, cfg scenario.TestbedConfig) (*scenario.TestbedResult, error) {
 	b := c.Batch()
 	res := b.Testbed(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Highway runs a single drive-thru point through the pool.
-func (c *Context) Highway(point string, cfg scenario.HighwayConfig) (*scenario.HighwayResult, error) {
-	b := c.Batch()
-	res := b.Highway(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Corridor runs a single corridor point through the pool.
-func (c *Context) Corridor(point string, cfg scenario.CorridorConfig) (*scenario.CorridorResult, error) {
-	b := c.Batch()
-	res := b.Corridor(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// TwoWay runs a single two-way point through the pool.
-func (c *Context) TwoWay(point string, cfg scenario.TwoWayConfig) (*scenario.TwoWayResult, error) {
-	b := c.Batch()
-	res := b.TwoWay(point, cfg)
 	if err := b.Go(); err != nil {
 		return nil, err
 	}

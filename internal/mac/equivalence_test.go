@@ -84,7 +84,6 @@ func runEquivalenceWorldSpec(t *testing.T, seed int64, stations int, mcfg Medium
 	ch := radio.MustChannel(urbanEquivalenceChannel(seed))
 	rec := &eqRecorder{}
 	m := NewMediumWith(engine, ch, rec, mcfg)
-	defer m.Close()
 
 	var corrupts []string
 	for i := 0; i < stations; i++ {

@@ -3,7 +3,6 @@ package mac
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -84,27 +83,16 @@ type transmission struct {
 	// that a linear scan beats hashing, and the allocation matters at
 	// city-scale transmission rates.
 	pows []float64
-	// fades[i] is dests[i]'s per-directed-link frame-randomness stream,
-	// prefetched on the simulation loop so workers never touch the
-	// channel's lazy maps. Always non-nil: receivers whose loss is
-	// certain never enter dests (the stage-zero cull).
+	// fades[i] is dests[i]'s per-directed-link frame-randomness stream.
+	// Always non-nil: receivers whose loss is certain never enter dests
+	// (the stage-zero cull).
 	fades []*radio.FadeStream
 	// draws[i] is dests[i]'s resolved frame randomness and interference-
-	// free decision, filled by resolveFrames — inline on the simulation
-	// loop (single-threaded path) or by a tile worker during the frame's
-	// airtime (tiled path).
+	// free decision, filled at transmission start.
 	draws []radio.FrameDraw
 	// edges are the exact PER decision edges for this frame's
 	// (modulation, size), resolved once at transmission start.
 	edges radio.FrameEdges
-	// state is the tiled resolver's claim word: epoch<<2 | phase. The
-	// epoch increments when the transmission recycles, so a stale ring
-	// entry for a previous incarnation can never claim the new one; the
-	// phase walks pending → running → done. Untouched on the single-
-	// threaded path.
-	state atomic.Uint32
-	// tile is the source's tile index at transmission start (tiled path).
-	tile int32
 	// rxFrame is the frame decoded from wire, shared by every receiver
 	// (decode is lazy: transmissions nobody decodes never pay for it).
 	rxFrame *packet.Frame
@@ -113,13 +101,6 @@ type transmission struct {
 	// recycle when they age out of the interference history.
 	next *transmission
 }
-
-// Claim phases of transmission.state (low two bits).
-const (
-	txPending uint32 = iota
-	txRunning
-	txDone
-)
 
 // powerAt returns the transmission's mean rx power at station s, if s was
 // inside its horizon.
@@ -164,22 +145,6 @@ type MediumConfig struct {
 	// 16; negative forces the index at any population — equivalence
 	// tests use that to exercise the indexed path on small scenarios.
 	MinIndexStations int
-	// TileWorkers, when positive, turns on the tiled conservative-
-	// parallel executor: the world is partitioned into tiles and each
-	// transmission's receiver resolutions (fading draws, PER, loss
-	// coins) run on the worker goroutine owning the source's tile,
-	// pipelined across the frame's airtime — the conservative lookahead
-	// window during which nothing can alter the frame's reception set or
-	// its per-link randomness. 0 keeps the single-threaded oracle. The
-	// two paths produce byte-identical traces at any worker count; the
-	// knob trades goroutines for wall-clock, never results.
-	TileWorkers int
-	// TileM is the tile edge in metres for the tiled executor's spatial
-	// partition. It must exceed the widest reception horizon so that a
-	// frame's receiver set spans at most the source tile and its
-	// neighbours; 0 defaults to four spatial-index cells (1 km at the
-	// default CellM), comfortably beyond the urban horizons.
-	TileM float64
 }
 
 func (c MediumConfig) withDefaults() MediumConfig {
@@ -194,9 +159,6 @@ func (c MediumConfig) withDefaults() MediumConfig {
 	}
 	if c.MinIndexStations == 0 {
 		c.MinIndexStations = 16
-	}
-	if c.TileM <= 0 {
-		c.TileM = 4 * c.CellM
 	}
 	return c
 }
@@ -285,10 +247,6 @@ type Medium struct {
 	interf    []float64
 	decs      []radio.FrameDecision
 
-	// exec is the tiled conservative-parallel executor, nil on the
-	// single-threaded path (TileWorkers == 0).
-	exec *tileExec
-
 	// stats are the medium's plain event counters, maintained
 	// unconditionally (the medium is single-threaded and an increment is
 	// cheaper than a guarding branch) and read through Stats. They count
@@ -320,21 +278,6 @@ type Stats struct {
 	// WireAllocs those that had to be freshly allocated.
 	WireReuses uint64
 	WireAllocs uint64
-	// Tiles is the tiled executor's partition size (0 when untiled).
-	// TiledResolves counts transmissions routed through it, CrossTileTx
-	// those whose receiver set spanned more than the source's tile.
-	// LookaheadStalls counts resolutions the simulation loop had to
-	// claim or wait for at delivery time (the worker had not finished
-	// within the frame's airtime — scheduling pressure, never a
-	// correctness event). TileResolveHighWater is the highest resolve
-	// count any single tile accumulated. All but LookaheadStalls are
-	// deterministic; the stall count depends on host scheduling and must
-	// stay out of anything trace- or manifest-addressed.
-	Tiles                uint64
-	TiledResolves        uint64
-	CrossTileTx          uint64
-	LookaheadStalls      uint64
-	TileResolveHighWater uint64
 }
 
 // Stats returns the medium's counters so far. The medium is
@@ -372,20 +315,7 @@ func NewMediumWith(engine *sim.Engine, channel *radio.Channel, tracer Tracer, cf
 		pruneAt:    32,
 	}
 	m.endCall = func(arg any) { m.endTransmission(arg.(*transmission)) }
-	if m.cfg.TileWorkers > 0 {
-		m.exec = newTileExec(m, m.cfg.TileWorkers)
-	}
 	return m
-}
-
-// Close joins the tiled executor's workers; reading Stats or recycling
-// the medium after a run requires it. Idempotent, and a no-op on the
-// single-threaded path.
-func (m *Medium) Close() {
-	if m.exec != nil {
-		m.exec.close()
-		m.exec = nil
-	}
 }
 
 // Engine returns the simulation engine driving this medium.
@@ -610,12 +540,6 @@ func (m *Medium) recycleTransmission(tx *transmission) {
 		tx.fades[i] = nil
 	}
 	tx.dests, tx.pows, tx.fades = tx.dests[:0], tx.pows[:0], tx.fades[:0]
-	if m.exec != nil {
-		// New epoch, pending phase: a stale ring entry still carrying
-		// this transmission's previous incarnation can no longer win the
-		// claim.
-		tx.state.Store((tx.state.Load()>>2 + 1) << 2)
-	}
 	tx.next = m.txFree
 	m.txFree = tx
 }
@@ -723,11 +647,10 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame, wire []byte) {
 	} else {
 		tx.draws = tx.draws[:len(tx.dests)]
 	}
-	if m.exec != nil {
-		m.exec.submit(tx, srcPos, cands)
-	} else {
-		m.resolveFrames(tx)
-	}
+	// Resolve every survivor's frame draw and interference-free decision
+	// now, in one batched kernel call; delivery at the end event only
+	// folds in interference.
+	m.channel.BatchResolve(tx.fades, tx.pows, tx.edges, tx.mod, len(tx.wire), tx.draws)
 	m.active = append(m.active, tx)
 	if airtime > m.maxAirtime {
 		m.maxAirtime = airtime
@@ -744,18 +667,6 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame, wire []byte) {
 	}
 
 	m.engine.ScheduleCall(airtime, m.endCall, tx)
-}
-
-// resolveFrames computes every non-culled receiver's frame draw and
-// interference-free decision, via the batched kernel. It is the one
-// resolution routine of both execution paths — the single-threaded
-// medium calls it inline at transmission start, tile workers call it
-// during the frame's airtime — so byte-identity between the paths holds
-// by construction. It touches only the channel's per-link streams
-// (exclusive to this transmission's links while it is on the air) and
-// the transmission itself; never the medium's mutable state or scratch.
-func (m *Medium) resolveFrames(tx *transmission) {
-	m.channel.BatchResolve(tx.fades, tx.pows, tx.edges, tx.mod, len(tx.wire), tx.draws)
 }
 
 // endTransmission resolves delivery of tx at each receiver and wakes
@@ -813,9 +724,6 @@ func (m *Medium) endTransmission(tx *transmission) {
 		m.overlaps[i], m.overlaps[j] = m.overlaps[j], m.overlaps[i]
 	}
 
-	if m.exec != nil {
-		m.exec.ensureResolved(tx)
-	}
 	m.finishTransmission(tx)
 	for i := range tx.dests {
 		m.deliver(tx, i)

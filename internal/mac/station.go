@@ -100,8 +100,7 @@ type stationLink struct {
 }
 
 // linkTo returns s's channel handles toward rx, probing the registration-
-// indexed cache before the channel's lazy maps. Simulation-loop only; the
-// returned fade stream is what tile workers use.
+// indexed cache before the channel's lazy maps.
 func (s *Station) linkTo(rx *Station) *stationLink {
 	if rx.idx >= len(s.links) {
 		grown := make([]stationLink, len(s.medium.order))

@@ -46,8 +46,7 @@ func (c *Channel) BatchMeanRxPower(links []*ShadowLink, dists []float64, src geo
 // streams, meanRxDBm and draws must share a length, and no stream may
 // appear twice (the medium's destination set is unique per
 // transmission) — each link then consumes fade-then-coin in order even
-// though the passes are split. Worker-safe under the same contract as
-// ResolveFrame: no other goroutine may touch these links' streams.
+// though the passes are split.
 func (c *Channel) BatchResolve(streams []*FadeStream, meanRxDBm []float64, e FrameEdges, mod Modulation, bytes int, draws []FrameDraw) {
 	// Pass 1: fading draws and edge classification. In-band receivers
 	// are tagged (HasCoin) and finished in pass 2, so the PER and coin

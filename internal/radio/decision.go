@@ -8,13 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the frame-decision engine behind the tiled
-// conservative-parallel medium. It decomposes DecideFrame into pieces
-// whose randomness is per-directed-link instead of channel-global, so
-// that frame resolutions become order-independent: any executor that
-// resolves each transmission's receivers exactly once — on whatever
-// goroutine, in whatever interleaving across transmissions — consumes
-// identical stream values and produces byte-identical traces.
+// This file is the frame-decision engine behind the medium's delivery
+// path. Its randomness is per-directed-link instead of channel-global, so
+// frame resolutions are order-independent: resolving each transmission's
+// receivers exactly once, in whatever order, consumes identical stream
+// values and produces byte-identical traces. The indexed medium relies
+// on that, since it gathers a frame's candidates in spatial-index
+// cell-scan order rather than registration order.
 //
 // The decomposition also exposes the PER curve's cliff shape. For every
 // (modulation, frame size) there is an SNR below which the PER computes
@@ -29,16 +29,14 @@ import (
 // fading gain and the loss coin of every frame from its source to its
 // destination. Streams are directed (src→dst), not reciprocal like
 // shadowing processes, so a link's stream is only ever advanced while its
-// source is on the air — the source's half-duplex serialises access, which
-// is what lets tile workers resolve concurrent transmissions in parallel.
+// source is on the air — the source's half-duplex serialises access.
 type FadeStream struct {
 	rng *rand.Rand
 }
 
 // fadeField lazily creates the per-directed-link fade streams with
 // deterministic names, so stream values do not depend on the order links
-// first carry traffic. Main-loop only: the executor prefetches stream
-// pointers before handing a transmission to a worker.
+// first carry traffic.
 type fadeField struct {
 	seed  int64
 	links map[uint64]*FadeStream
@@ -58,8 +56,7 @@ func fadeLinkKey(src, dst packet.NodeID) uint64 {
 }
 
 // FadeStream returns the directed link's per-frame stream, creating it on
-// first use. Not safe for concurrent use — call from the simulation loop
-// and hand workers the returned pointer.
+// first use. Not safe for concurrent use.
 func (c *Channel) FadeStream(src, dst packet.NodeID) *FadeStream {
 	s, ok := c.fades.links[fadeLinkKey(src, dst)]
 	if !ok {
@@ -112,8 +109,8 @@ type edgeKey struct {
 
 // FrameEdges returns (and memoises) the decision edges for frames of the
 // given modulation and size. Not safe for concurrent use — the medium
-// resolves edges once per transmission on the simulation loop and stores
-// them on the transmission for its workers. In fast mode the size is
+// resolves edges once per transmission and stores them on the
+// transmission. In fast mode the size is
 // first rounded up to its geometric class and the returned edges carry
 // that class's PER table: every frame in a class shares one set of edges
 // and one table.
@@ -175,9 +172,9 @@ func (c *Channel) CertainMeanFloorDBm(e FrameEdges) float64 {
 }
 
 // FrameDraw is one receiver's per-frame randomness together with its
-// interference-free resolution. Workers produce these ahead of the frame's
-// end event; the delivery path upgrades them with interference via
-// FinishFrame.
+// interference-free resolution. The medium produces these at the frame's
+// start event; the delivery path upgrades them with interference via
+// FinishFrame at its end event.
 type FrameDraw struct {
 	// FadeDB is the small-scale fading gain applied to this receiver's
 	// copy (already clamped; 0 when fading is disabled).
@@ -187,9 +184,9 @@ type FrameDraw struct {
 	SINR0dB float64
 	PER0    float64
 	// Coin is the loss coin, drawn only when PER0 lies strictly between
-	// the edges (HasCoin). FinishFrame draws it late — in delivery order,
-	// on the simulation loop — for the rare receiver pushed into the
-	// middle band by interference.
+	// the edges (HasCoin). FinishFrame draws it late — in delivery
+	// order — for the rare receiver pushed into the middle band by
+	// interference.
 	Coin    float64
 	HasCoin bool
 	// Received0 is the interference-free decision.
@@ -199,8 +196,8 @@ type FrameDraw struct {
 // ResolveFrame computes one receiver's frame draw and interference-free
 // decision. The stream consumption policy is a deterministic function of
 // (meanRxDBm, edges, fading config) alone — never of MAC state or
-// interference — so the single-threaded and tiled paths, resolving in
-// different orders, consume identical values per link:
+// interference — so resolving a frame's receivers in any order consumes
+// identical values per link:
 //
 //   - no draw when even the clamped maximum fade cannot lift the SINR
 //     above the loss edge (the caller normally culls these receivers
@@ -208,9 +205,6 @@ type FrameDraw struct {
 //   - a fading draw otherwise;
 //   - a coin draw only when the interference-free PER is strictly inside
 //     (0, 1).
-//
-// Safe to call from a tile worker provided no other goroutine touches the
-// same directed link's stream — the source's half-duplex guarantees that.
 func (c *Channel) ResolveFrame(s *FadeStream, meanRxDBm float64, e FrameEdges, mod Modulation, bytes int) FrameDraw {
 	var fade float64
 	if c.cfg.FadingK >= 0 {

@@ -151,7 +151,8 @@ func TestResolveDrawPolicy(t *testing.T) {
 
 // TestFadeStreamsOrderIndependent: per-link streams make resolution
 // values independent of the order links are resolved in — the property
-// the tiled executor's byte-identity rests on. Resolving two links in
+// the indexed medium's byte-identity with the exhaustive scan rests on,
+// since it gathers candidates in cell-scan order. Resolving links in
 // opposite orders on two identically-seeded channels must yield
 // bit-identical draws.
 func TestFadeStreamsOrderIndependent(t *testing.T) {

@@ -90,18 +90,19 @@ func TestMaxRangeBrackets(t *testing.T) {
 // TestBeyondMaxRangeNeverReceives is the end-to-end losslessness property
 // the medium's culling rests on: at any distance beyond
 // MaxRangeM(CertainLossFloorDBm), even the maximum shadowing boost leaves
-// every frame with PER exactly 1, so DecideFrame can never report a
-// reception — no matter how the fading RNG lands.
+// every frame with PER exactly 1, so the frame decision can never report
+// a reception — no matter how the fading RNG lands.
 func TestBeyondMaxRangeNeverReceives(t *testing.T) {
 	c := horizonChannel(t)
 	mod, bytes := DSSS1Mbps, 1020
 	floor := c.CertainLossFloorDBm(mod, bytes)
 	r := c.MaxRangeM(floor)
 	cfg := c.Config()
+	s := c.FadeStream(1, 2)
 	for _, d := range []float64{r + 0.01, r * 1.5, r * 10} {
 		meanRx := cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.ShadowClampDB()
 		for i := 0; i < 2000; i++ {
-			dec := c.DecideFrame(meanRx, math.Inf(-1), mod, bytes)
+			dec := decide(c, s, meanRx, math.Inf(-1), mod, bytes)
 			if dec.PER < 1 || dec.Received {
 				t.Fatalf("d=%v (range %v): received frame, PER=%v", d, r, dec.PER)
 			}
@@ -129,9 +130,10 @@ func TestFadingSampleClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, e := c.FadeStream(1, 2), c.FrameEdges(DSSS1Mbps, 1000)
 	hit := false
 	for i := 0; i < 20000; i++ {
-		g := c.FadingSampleDB()
+		g := c.ResolveFrame(s, -80, e, DSSS1Mbps, 1000).FadeDB
 		if g > 1.5 {
 			t.Fatalf("fade sample %v beyond clamp", g)
 		}

@@ -27,17 +27,10 @@ import (
 // cooperative-ARQ candidate set — follows realistic gradients rather
 // than statistically flat noise.
 type CityDemandConfig struct {
+	Common
 	Rounds int
 	// Cars is the platoon size (the C-ARQ stations).
 	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// GridRows x GridCols intersections, BlockM apart.
 	GridRows, GridCols int
 	BlockM             float64
@@ -68,15 +61,6 @@ type CityDemandConfig struct {
 	// the shared trace cache) instead of live-stepping; both modes
 	// produce byte-identical traces.
 	Replay bool
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneChannel and TuneCarq optionally mutate derived configs.
 	TuneChannel func(*radio.Config)
 	TuneCarq    func(*carq.Config)
@@ -89,7 +73,7 @@ func DefaultCityDemand() CityDemandConfig {
 	return CityDemandConfig{
 		Rounds:           4,
 		Cars:             10,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		GridRows:         12,
 		GridCols:         12,
 		BlockM:           200,
@@ -307,7 +291,6 @@ func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.
 	}
 
 	chCfg := cityScaleChannel()
-	chCfg.FastMode = cfg.FastChannel
 	if cfg.TuneChannel != nil {
 		cfg.TuneChannel(&chCfg)
 	}
@@ -354,16 +337,14 @@ func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.
 		}
 	}
 
-	result, err := Run(Setup{
-		Seed:     sim.ArmSeed(roundSeed, cfg.Arm),
+	result, err := Run(cfg.setup(roundSeed, Setup{
 		Channel:  chCfg,
 		MAC:      macCfg,
 		APs:      aps,
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
-	})
+	}))
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -27,17 +27,10 @@ const BackgroundID packet.NodeID = 200
 // hundreds of background vehicles beacon HELLOs — the dense-VANET
 // workload the spatially-indexed medium exists for.
 type CityScaleConfig struct {
+	Common
 	Rounds int
 	// Cars is the platoon size (the C-ARQ stations).
 	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// Background is the number of beacon-only vehicles sharing the grid;
 	// every one is a MAC station.
 	Background int
@@ -60,15 +53,6 @@ type CityScaleConfig struct {
 	// the shared trace cache) instead of live-stepping; both modes
 	// produce byte-identical traces.
 	Replay bool
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneChannel and TuneCarq optionally mutate derived configs.
 	TuneChannel func(*radio.Config)
 	TuneCarq    func(*carq.Config)
@@ -81,7 +65,7 @@ func DefaultCityScale() CityScaleConfig {
 	return CityScaleConfig{
 		Rounds:           4,
 		Cars:             10,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		Background:       290,
 		GridRows:         16,
 		GridCols:         16,
@@ -369,7 +353,6 @@ func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Co
 	}
 
 	chCfg := cityScaleChannel()
-	chCfg.FastMode = cfg.FastChannel
 	if cfg.TuneChannel != nil {
 		cfg.TuneChannel(&chCfg)
 	}
@@ -411,16 +394,14 @@ func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Co
 		}
 	}
 
-	result, err := Run(Setup{
-		Seed:     sim.ArmSeed(roundSeed, cfg.Arm),
+	result, err := Run(cfg.setup(roundSeed, Setup{
 		Channel:  chCfg,
 		MAC:      macCfg,
 		APs:      aps,
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
-	})
+	}))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -461,13 +442,8 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	for i := 0; i < cfg.APs; i++ {
 		res.APIDs = append(res.APIDs, APID+packet.NodeID(i))
 	}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, stream, err := CityScaleRound(cfg, round)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: city scale round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-		res.Traffic = append(res.Traffic, stream)
+	if res.Rounds, res.Traffic, err = collectRounds("city scale", cfg, cfg.Rounds, CityScaleRound); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -20,16 +20,9 @@ import (
 // drives past AP1, cooperates in the gap, reaches AP2, and so on — the
 // full Reception -> Cooperative-ARQ -> Reception cycle, repeated.
 type CorridorConfig struct {
-	Rounds int
-	Cars   int
-	Seed   int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm              string
+	Common
+	Rounds           int
+	Cars             int
 	SpeedMPS         float64
 	HeadwayM         float64
 	PacketsPerSecond float64
@@ -41,17 +34,8 @@ type CorridorConfig struct {
 	APSpacingM float64
 	// APSetbackM is each AP's perpendicular offset from the lane.
 	APSetbackM float64
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneCarq optionally mutates each car's protocol config.
 	TuneCarq func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultCorridor returns a two-Infostation corridor at urban speed.
@@ -59,7 +43,7 @@ func DefaultCorridor() CorridorConfig {
 	return CorridorConfig{
 		Rounds:           10,
 		Cars:             3,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		SpeedMPS:         11, // ~40 km/h arterial road
 		HeadwayM:         40,
 		PacketsPerSecond: 5,
@@ -112,12 +96,8 @@ func RunCorridor(cfg CorridorConfig) (*CorridorResult, error) {
 		CarIDs:      CarIDs(cfg.Cars),
 		RoadLengthM: CorridorRoadLength(cfg),
 	}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, err := runCorridorRound(cfg, round, res.CarIDs, res.RoadLengthM)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: corridor round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
+	if res.Rounds, _, err = collectRounds("corridor", cfg, cfg.Rounds, protocolOnly(CorridorRound)); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -148,10 +128,7 @@ func CorridorRound(cfg CorridorConfig, round int) (*trace.Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runCorridorRound(cfg, round, CarIDs(cfg.Cars), CorridorRoadLength(cfg))
-}
-
-func runCorridorRound(cfg CorridorConfig, round int, carIDs []packet.NodeID, roadLen float64) (*trace.Collector, error) {
+	carIDs, roadLen := CarIDs(cfg.Cars), CorridorRoadLength(cfg)
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("corridor-round-%d", round))
 
 	road := mobility.StraightHighway(roadLen)
@@ -208,17 +185,13 @@ func runCorridorRound(cfg CorridorConfig, round int, carIDs []packet.NodeID, roa
 		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg}
 	}
 
-	chCfg := corridorChannel()
-	chCfg.FastMode = cfg.FastChannel
-	result, err := Run(Setup{
-		Seed:     sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel:  chCfg,
+	result, err := Run(cfg.setup(roundSeed, Setup{
+		Channel:  corridorChannel(),
 		MAC:      mac.DefaultConfig(),
 		APs:      aps,
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

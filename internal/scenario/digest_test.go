@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/carq"
+	"repro/internal/mac"
 	"repro/internal/radio"
 )
 
@@ -13,8 +14,7 @@ func digestSampleConfig() HighwayConfig {
 	return HighwayConfig{
 		Rounds:           3,
 		Cars:             10,
-		Seed:             42,
-		Arm:              "coop",
+		Common:           Common{Seed: 42, Arm: "coop"},
 		SpeedMPS:         8.3,
 		HeadwayM:         25,
 		PacketsPerSecond: 10,
@@ -40,28 +40,17 @@ func TestConfigDigestDeterministic(t *testing.T) {
 	}
 }
 
-// TestConfigDigestSeesEveryField: perturbing any field — numeric,
-// string, bool, duration — must change the digest, or the result store
-// would serve a stale unit for the changed config.
+// TestConfigDigestSeesEveryField: perturbing any family field —
+// numeric, bool, duration — must change the digest, or the result store
+// would serve a stale unit for the changed config. The shared fields are
+// covered for every family by TestConfigDigestSeesCommonEverywhere.
 func TestConfigDigestSeesEveryField(t *testing.T) {
 	base := ConfigDigest(digestSampleConfig())
 	perturb := map[string]func(*HighwayConfig){
 		"Cars":     func(c *HighwayConfig) { c.Cars++ },
-		"Seed":     func(c *HighwayConfig) { c.Seed++ },
-		"Arm":      func(c *HighwayConfig) { c.Arm = "solo" },
 		"SpeedMPS": func(c *HighwayConfig) { c.SpeedMPS += 1e-9 },
 		"Coop":     func(c *HighwayConfig) { c.Coop = false },
 		"CoopTime": func(c *HighwayConfig) { c.CoopTime += time.Nanosecond },
-		// Nested-struct fields ride along through the reflection walk; the
-		// tile-executor knobs are the ones a stale-digest bug would silently
-		// serve wrong results for (tiled and untiled traces are identical by
-		// contract, but the configs must still be distinct cache keys).
-		"Medium.TileWorkers": func(c *HighwayConfig) { c.Medium.TileWorkers = 2 },
-		"Medium.TileM":       func(c *HighwayConfig) { c.Medium.TileM = 750 },
-		// FastChannel changes results (statistically equivalent, not
-		// byte-identical), so a digest blind to it would let a stored
-		// exact-mode unit satisfy a fast-mode sweep.
-		"FastChannel": func(c *HighwayConfig) { c.FastChannel = true },
 	}
 	for field, mutate := range perturb {
 		cfg := digestSampleConfig()
@@ -72,28 +61,78 @@ func TestConfigDigestSeesEveryField(t *testing.T) {
 	}
 }
 
-// TestConfigDigestSeesFastChannelEverywhere: every scenario family
-// carries the FastChannel mode switch, and each family's digest must see
-// it — these are exactly the configs addStoredRounds keys stored results
-// by.
-func TestConfigDigestSeesFastChannelEverywhere(t *testing.T) {
-	cases := []struct {
-		name        string
-		exact, fast any
-	}{
-		{"testbed", TestbedConfig{}, TestbedConfig{FastChannel: true}},
-		{"highway", HighwayConfig{}, HighwayConfig{FastChannel: true}},
-		{"corridor", CorridorConfig{}, CorridorConfig{FastChannel: true}},
-		{"twoway", TwoWayConfig{}, TwoWayConfig{FastChannel: true}},
-		{"download", DownloadConfig{}, DownloadConfig{FastChannel: true}},
-		{"trafficgrid", TrafficGridConfig{}, TrafficGridConfig{FastChannel: true}},
-		{"stopgo", StopGoConfig{}, StopGoConfig{FastChannel: true}},
-		{"citydemand", CityDemandConfig{}, CityDemandConfig{FastChannel: true}},
-		{"cityscale", CityScaleConfig{}, CityScaleConfig{FastChannel: true}},
+// commonPerturbations moves every field of Common, down to each field of
+// the medium config inside it, off its default. FastChannel changes
+// results (statistically equivalent, not byte-identical) and Arm forks
+// the channel randomness, so a digest blind to either would let a stored
+// unit satisfy a sweep it does not belong to; Seed roots every stream;
+// the medium fields never change traces, but distinct configs must still
+// be distinct cache keys.
+var commonPerturbations = map[string]func(*Common){
+	"Seed":                    func(c *Common) { c.Seed++ },
+	"Arm":                     func(c *Common) { c.Arm = "solo" },
+	"FastChannel":             func(c *Common) { c.FastChannel = !c.FastChannel },
+	"Medium.Exhaustive":       func(c *Common) { c.Medium.Exhaustive = !c.Medium.Exhaustive },
+	"Medium.RefreshInterval":  func(c *Common) { c.Medium.RefreshInterval += time.Nanosecond },
+	"Medium.MaxSpeedMPS":      func(c *Common) { c.Medium.MaxSpeedMPS += 1e-9 },
+	"Medium.CellM":            func(c *Common) { c.Medium.CellM += 1e-9 },
+	"Medium.MinIndexStations": func(c *Common) { c.Medium.MinIndexStations-- },
+}
+
+// familyConfigs returns every scenario family's default config behind a
+// pointer, so a test can reach its embedded Common.
+func familyConfigs() map[string]interface{ Shared() *Common } {
+	testbed, highway, corridor := DefaultTestbed(), DefaultHighway(), DefaultCorridor()
+	twoway, download, grid := DefaultTwoWay(), DefaultDownload(), DefaultTrafficGrid()
+	stopgo, demand, city := DefaultStopGo(), DefaultCityDemand(), DefaultCityScale()
+	return map[string]interface{ Shared() *Common }{
+		"testbed": &testbed, "highway": &highway, "corridor": &corridor,
+		"twoway": &twoway, "download": &download, "trafficgrid": &grid,
+		"stopgo": &stopgo, "citydemand": &demand, "cityscale": &city,
 	}
-	for _, tc := range cases {
-		if ConfigDigest(tc.exact) == ConfigDigest(tc.fast) {
-			t.Errorf("%s: FastChannel invisible to the config digest", tc.name)
+}
+
+// TestConfigDigestSeesCommonEverywhere: every shared field, in every
+// scenario family's config, feeds the digest that addStoredRounds keys
+// stored results by.
+func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
+	if n := len(familyConfigs()); n != 9 {
+		t.Fatalf("%d families, want 9", n)
+	}
+	for family := range familyConfigs() {
+		for field, mutate := range commonPerturbations {
+			cfg := familyConfigs()[family]
+			base := ConfigDigest(cfg)
+			mutate(cfg.Shared())
+			if ConfigDigest(cfg) == base {
+				t.Errorf("%s: %s invisible to the config digest", family, field)
+			}
+		}
+	}
+}
+
+// TestCommonFieldCanary pins the field lists of Common and
+// mac.MediumConfig to commonPerturbations: a new shared knob fails here
+// until the digest table perturbs it, so it lands with its test.
+func TestCommonFieldCanary(t *testing.T) {
+	const wantCommon, wantMedium = 4, 5
+	common, medium := reflect.TypeOf(Common{}), reflect.TypeOf(mac.MediumConfig{})
+	if common.NumField() != wantCommon || medium.NumField() != wantMedium {
+		t.Fatalf("Common has %d fields and mac.MediumConfig %d, want %d and %d: add the new field to commonPerturbations and update the counts",
+			common.NumField(), medium.NumField(), wantCommon, wantMedium)
+	}
+	var fields []string
+	for i := 0; i < common.NumField(); i++ {
+		if f := common.Field(i); f.Type != medium {
+			fields = append(fields, f.Name)
+		}
+	}
+	for i := 0; i < medium.NumField(); i++ {
+		fields = append(fields, "Medium."+medium.Field(i).Name)
+	}
+	for _, f := range fields {
+		if commonPerturbations[f] == nil {
+			t.Errorf("commonPerturbations does not perturb %s", f)
 		}
 	}
 }

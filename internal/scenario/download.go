@@ -21,15 +21,8 @@ import (
 // visits each car needs to assemble the complete file, with and without
 // cooperation.
 type DownloadConfig struct {
-	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm              string
+	Common
+	Cars             int
 	SpeedMPS         float64
 	HeadwayM         float64
 	PacketsPerSecond float64
@@ -39,22 +32,13 @@ type DownloadConfig struct {
 	FileBlocks uint32
 	// MaxLaps bounds the simulation.
 	MaxLaps int
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultDownload returns a 220-block download on the testbed loop.
 func DefaultDownload() DownloadConfig {
 	return DownloadConfig{
 		Cars:             3,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		SpeedMPS:         5.6,
 		HeadwayM:         40,
 		PacketsPerSecond: 5,
@@ -87,16 +71,25 @@ type DownloadResult struct {
 	LapTime time.Duration
 }
 
-// RunDownload executes the multi-lap file download.
-func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
+// Normalized validates the config and fills in defaults.
+func (cfg DownloadConfig) Normalized() (DownloadConfig, error) {
 	if cfg.Cars <= 0 || cfg.FileBlocks == 0 || cfg.MaxLaps <= 0 {
-		return nil, fmt.Errorf("scenario: bad download config %+v", cfg)
+		return cfg, fmt.Errorf("scenario: download cars=%d blocks=%d laps=%d", cfg.Cars, cfg.FileBlocks, cfg.MaxLaps)
 	}
 	if cfg.SpeedMPS <= 0 {
-		return nil, fmt.Errorf("scenario: speed %v", cfg.SpeedMPS)
+		return cfg, fmt.Errorf("scenario: speed %v", cfg.SpeedMPS)
 	}
 	if cfg.HeadwayM <= 0 {
 		cfg.HeadwayM = 40
+	}
+	return cfg, nil
+}
+
+// RunDownload executes the multi-lap file download.
+func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
 	}
 	roundSeed := sim.Stream(cfg.Seed, "download").Int63()
 
@@ -130,11 +123,8 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 	}
 	done := make(map[packet.NodeID]doneMark, cfg.Cars)
 
-	chCfg := testbedChannel()
-	chCfg.FastMode = cfg.FastChannel
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel: chCfg,
+	result, err := Run(cfg.setup(roundSeed, Setup{
+		Channel: testbedChannel(),
 		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
 			Position: TestbedAPPosition(),
@@ -149,7 +139,6 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
 		Hook: func(engine *sim.Engine, nodes map[packet.NodeID]Node) {
 			// Poll completion once per simulated second.
 			var probe func()
@@ -172,7 +161,7 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 			}
 			engine.Schedule(time.Second, probe)
 		},
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

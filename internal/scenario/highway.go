@@ -19,16 +19,9 @@ import (
 // highway at speed. Sweeping SpeedMPS reproduces the loss-versus-speed
 // relationship; enabling Coop shows how much of each pass C-ARQ recovers.
 type HighwayConfig struct {
-	Rounds int
-	Cars   int
-	Seed   int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm              string
+	Common
+	Rounds           int
+	Cars             int
 	SpeedMPS         float64 // e.g. 8.3 (30 km/h) .. 33.3 (120 km/h)
 	HeadwayM         float64
 	PacketsPerSecond float64
@@ -43,18 +36,9 @@ type HighwayConfig struct {
 	// CoopTime is extra simulated time after the pass for the
 	// Cooperative-ARQ phase.
 	CoopTime time.Duration
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneChannel and TuneCarq optionally mutate derived configs.
 	TuneChannel func(*radio.Config)
 	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultHighway returns a 90 km/h three-car drive-thru.
@@ -62,7 +46,7 @@ func DefaultHighway() HighwayConfig {
 	return HighwayConfig{
 		Rounds:           10,
 		Cars:             3,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		SpeedMPS:         25, // 90 km/h
 		HeadwayM:         50,
 		PacketsPerSecond: 10,
@@ -120,27 +104,7 @@ func HighwayRound(cfg HighwayConfig, round int) (*trace.Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runHighwayRound(cfg, round, CarIDs(cfg.Cars))
-}
-
-// RunHighway executes the drive-thru passes.
-func RunHighway(cfg HighwayConfig) (*HighwayResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &HighwayResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, err := runHighwayRound(cfg, round, res.CarIDs)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: highway round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-	}
-	return res, nil
-}
-
-func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*trace.Collector, error) {
+	carIDs := CarIDs(cfg.Cars)
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("hwy-round-%d", round))
 
 	road := mobility.StraightHighway(cfg.RoadLengthM)
@@ -165,7 +129,6 @@ func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*tra
 	}
 
 	chCfg := highwayChannel()
-	chCfg.FastMode = cfg.FastChannel
 	if cfg.TuneChannel != nil {
 		cfg.TuneChannel(&chCfg)
 	}
@@ -186,8 +149,7 @@ func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*tra
 		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
+	result, err := Run(cfg.setup(roundSeed, Setup{
 		Channel: chCfg,
 		MAC:     macCfg,
 		APs: []APSpec{{
@@ -197,10 +159,22 @@ func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*tra
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
 	return result.Trace, nil
+}
+
+// RunHighway executes the drive-thru passes.
+func RunHighway(cfg HighwayConfig) (*HighwayResult, error) {
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	res := &HighwayResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
+	if res.Rounds, _, err = collectRounds("highway", cfg, cfg.Rounds, protocolOnly(HighwayRound)); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

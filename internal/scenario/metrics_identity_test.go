@@ -115,33 +115,6 @@ func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 			}
 			return col
 		}},
-		// The tiled executor publishes its own counters (tiles, cross-tile
-		// transmissions, barrier waits); the identity must hold for those
-		// too, so two families re-run through the tile-parallel path.
-		{"testbed-tiled", func(t *testing.T) *trace.Collector {
-			cfg := DefaultTestbed()
-			cfg.Rounds = 1
-			cfg.Medium.TileWorkers = 2
-			col, _, err := TestbedRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"cityscale-tiled", func(t *testing.T) *trace.Collector {
-			cfg := DefaultCityScale()
-			cfg.GridRows, cfg.GridCols = 8, 8
-			cfg.Background = 80
-			cfg.Cars = 6
-			cfg.Duration = 30 * time.Second
-			cfg.Rounds = 1
-			cfg.Medium.TileWorkers = 2
-			col, _, err := CityScaleRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
 	}
 
 	// The registry is process-global; make sure this test leaves it the

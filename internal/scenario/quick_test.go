@@ -50,6 +50,29 @@ func TestDownloadValidation(t *testing.T) {
 	}
 }
 
+// TestDownloadNormalized: the download config validates and defaults
+// like every other family's, so a bad one fails before any simulation.
+func TestDownloadNormalized(t *testing.T) {
+	cfg := DefaultDownload()
+	cfg.HeadwayM = 0
+	got, err := cfg.Normalized()
+	if err != nil || got.HeadwayM != 40 {
+		t.Fatalf("Normalized = %+v, %v; want default headway 40", got, err)
+	}
+	for name, mutate := range map[string]func(*DownloadConfig){
+		"cars":   func(c *DownloadConfig) { c.Cars = 0 },
+		"blocks": func(c *DownloadConfig) { c.FileBlocks = 0 },
+		"laps":   func(c *DownloadConfig) { c.MaxLaps = 0 },
+		"speed":  func(c *DownloadConfig) { c.SpeedMPS = 0 },
+	} {
+		bad := DefaultDownload()
+		mutate(&bad)
+		if _, err := bad.Normalized(); err == nil {
+			t.Errorf("zero %s accepted", name)
+		}
+	}
+}
+
 func TestHighwaySpeedShrinksWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drive-thru simulation in -short mode")

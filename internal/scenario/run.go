@@ -195,13 +195,9 @@ func Run(s Setup) (*Result, error) {
 	if s.Hook != nil {
 		s.Hook(engine, nodes)
 	}
-	// Join the tiled executor's workers (a no-op on the single-threaded
-	// path) before anything reads the medium's stats — and on every exit.
-	defer medium.Close()
 	if err := engine.RunUntil(s.Duration); err != nil {
 		return nil, fmt.Errorf("scenario: run: %w", err)
 	}
-	medium.Close()
 	// One predictable branch per round: the engine and medium count with
 	// plain fields while the simulation runs; only the flush into the
 	// shared registry is gated (and skipped entirely by default).

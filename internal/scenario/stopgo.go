@@ -21,18 +21,11 @@ import (
 // platoon crawls, bunches and re-spreads inside and outside coverage —
 // the regime delay-tolerant vehicular recovery is supposed to shine in.
 type StopGoConfig struct {
+	Common
 	Rounds int
 	// Cars is the platoon size (the C-ARQ stations); the rest of the
 	// ring is radio-silent background traffic.
 	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// Vehicles is the total ring population including the platoon.
 	Vehicles int
 	// RingM is the ring circumference.
@@ -49,18 +42,9 @@ type StopGoConfig struct {
 	// Replay drives the protocol run from a recorded traffic stream;
 	// see TrafficGridConfig.Replay.
 	Replay bool
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneChannel and TuneCarq optionally mutate derived configs.
 	TuneChannel func(*radio.Config)
 	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultStopGo returns a 72-vehicle, 1.8 km ring (25 m spacings — dense
@@ -69,7 +53,7 @@ func DefaultStopGo() StopGoConfig {
 	return StopGoConfig{
 		Rounds:           10,
 		Cars:             3,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		Vehicles:         72,
 		RingM:            1800,
 		PacketsPerSecond: 5,
@@ -222,7 +206,6 @@ func StopGoRound(cfg StopGoConfig, round int) (*trace.Collector, *trace.Collecto
 	}
 
 	chCfg := highwayChannel()
-	chCfg.FastMode = cfg.FastChannel
 	if cfg.TuneChannel != nil {
 		cfg.TuneChannel(&chCfg)
 	}
@@ -239,8 +222,7 @@ func StopGoRound(cfg StopGoConfig, round int) (*trace.Collector, *trace.Collecto
 		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: ccfg}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
+	result, err := Run(cfg.setup(roundSeed, Setup{
 		Channel: chCfg,
 		MAC:     macCfg,
 		APs: []APSpec{{
@@ -251,8 +233,7 @@ func StopGoRound(cfg StopGoConfig, round int) (*trace.Collector, *trace.Collecto
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
-	})
+	}))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -266,13 +247,8 @@ func RunStopGo(cfg StopGoConfig) (*StopGoResult, error) {
 		return nil, err
 	}
 	res := &StopGoResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, stream, err := StopGoRound(cfg, round)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: stop-go round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-		res.Traffic = append(res.Traffic, stream)
+	if res.Rounds, res.Traffic, err = collectRounds("stop-go", cfg, cfg.Rounds, StopGoRound); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -2,9 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ap"
@@ -22,19 +19,11 @@ import (
 // rectangular city-block loop, one building-mounted AP on the main street,
 // and a platoon of cars circling the block.
 type TestbedConfig struct {
+	Common
 	// Rounds is the number of independent laps (the paper ran 30).
 	Rounds int
 	// Cars is the platoon size (the paper used 3).
 	Cars int
-	// Seed roots all randomness; each round derives its own streams.
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// SpeedMPS is the platoon's base speed (the paper's ~20 km/h).
 	SpeedMPS float64
 	// HeadwayM is the nominal inter-car gap (0: default 40 m).
@@ -69,25 +58,12 @@ type TestbedConfig struct {
 	FrameCombining bool
 	// Modulation is the PHY rate (the paper fixed 1 Mb/s).
 	Modulation radio.Modulation
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneChannel and TuneCarq optionally mutate the derived configs.
 	TuneChannel func(*radio.Config)
 	TuneCarq    func(*carq.Config)
 	// Factory overrides the protocol run by every car (nil: C-ARQ with
 	// the settings above). Used by the epidemic baseline.
 	Factory NodeFactory
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
-	// Parallel runs rounds concurrently on up to GOMAXPROCS workers.
-	// Rounds are fully independent simulations with per-round RNG
-	// streams, so results are bit-identical to a serial run.
-	Parallel bool
 }
 
 // DefaultTestbed returns the calibrated reproduction of the paper's
@@ -96,7 +72,7 @@ func DefaultTestbed() TestbedConfig {
 	return TestbedConfig{
 		Rounds:           30,
 		Cars:             3,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		SpeedMPS:         5.6, // ~20 km/h
 		PacketsPerSecond: 5,
 		PayloadBytes:     1000,
@@ -284,50 +260,13 @@ func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
 	}
 	res := &TestbedResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
 	res.Rounds = make([]*trace.Collector, cfg.Rounds)
-	if !cfg.Parallel {
-		for round := 0; round < cfg.Rounds; round++ {
-			col, dur, err := runTestbedRound(cfg, round, res.CarIDs)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: round %d: %w", round, err)
-			}
-			res.Rounds[round] = col
-			res.RoundDuration = dur
+	for round := 0; round < cfg.Rounds; round++ {
+		col, dur, err := runTestbedRound(cfg, round, res.CarIDs)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: round %d: %w", round, err)
 		}
-		return res, nil
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Rounds {
-		workers = cfg.Rounds
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		firstErr atomic.Value
-		durOnce  sync.Once
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				round := int(next.Add(1)) - 1
-				if round >= cfg.Rounds {
-					return
-				}
-				col, dur, err := runTestbedRound(cfg, round, res.CarIDs)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("scenario: round %d: %w", round, err))
-					return
-				}
-				res.Rounds[round] = col
-				durOnce.Do(func() { res.RoundDuration = dur })
-			}
-		}()
-	}
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok {
-		return nil, err
+		res.Rounds[round] = col
+		res.RoundDuration = dur
 	}
 	return res, nil
 }
@@ -352,7 +291,6 @@ func runTestbedRound(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*tra
 	duration := timeToArc(leader, 2*loopLen-coverageSpillM) - 2*time.Second
 
 	chCfg := testbedChannel()
-	chCfg.FastMode = cfg.FastChannel
 	if cfg.TuneChannel != nil {
 		cfg.TuneChannel(&chCfg)
 	}
@@ -385,8 +323,7 @@ func runTestbedRound(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*tra
 		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg, Factory: cfg.Factory}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
+	result, err := Run(cfg.setup(roundSeed, Setup{
 		Channel: chCfg,
 		MAC:     macCfg,
 		APs: []APSpec{{
@@ -397,8 +334,7 @@ func runTestbedRound(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*tra
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
-	})
+	}))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -22,17 +22,10 @@ import (
 // generalisation of the paper's corner-C bunching anomaly — and the dark
 // sides of the block exercise the Cooperative-ARQ phase every lap.
 type TrafficGridConfig struct {
+	Common
 	Rounds int
 	// Cars is the platoon size (the C-ARQ stations).
 	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// Background is the number of radio-silent vehicles sharing the
 	// grid.
 	Background int
@@ -50,18 +43,9 @@ type TrafficGridConfig struct {
 	// of live-stepping the traffic on the round's engine. Both modes
 	// produce byte-identical traces.
 	Replay bool
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneChannel and TuneCarq optionally mutate derived configs.
 	TuneChannel func(*radio.Config)
 	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultTrafficGrid returns a 3x3-intersection grid with a 4-car
@@ -70,7 +54,7 @@ func DefaultTrafficGrid() TrafficGridConfig {
 	return TrafficGridConfig{
 		Rounds:           10,
 		Cars:             4,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		Background:       60,
 		GridRows:         3,
 		GridCols:         3,
@@ -277,7 +261,6 @@ func TrafficGridRound(cfg TrafficGridConfig, round int) (*trace.Collector, *trac
 	}
 
 	chCfg := trafficGridChannel(g)
-	chCfg.FastMode = cfg.FastChannel
 	if cfg.TuneChannel != nil {
 		cfg.TuneChannel(&chCfg)
 	}
@@ -294,8 +277,7 @@ func TrafficGridRound(cfg TrafficGridConfig, round int) (*trace.Collector, *trac
 		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: ccfg}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
+	result, err := Run(cfg.setup(roundSeed, Setup{
 		Channel: chCfg,
 		MAC:     macCfg,
 		APs: []APSpec{{
@@ -306,8 +288,7 @@ func TrafficGridRound(cfg TrafficGridConfig, round int) (*trace.Collector, *trac
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
-	})
+	}))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -321,13 +302,8 @@ func RunTrafficGrid(cfg TrafficGridConfig) (*TrafficGridResult, error) {
 		return nil, err
 	}
 	res := &TrafficGridResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, stream, err := TrafficGridRound(cfg, round)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: traffic grid round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-		res.Traffic = append(res.Traffic, stream)
+	if res.Rounds, res.Traffic, err = collectRounds("traffic grid", cfg, cfg.Rounds, TrafficGridRound); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

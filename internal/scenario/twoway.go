@@ -28,20 +28,13 @@ import (
 // own pass) — which head-on traffic on a straight road can never satisfy,
 // but out-and-back traffic can.
 type TwoWayConfig struct {
+	Common
 	Rounds int
 	// Cars is the platoon size.
 	Cars int
 	// RelayCars is the number of trailing/opposing relay vehicles; zero
 	// isolates the platoon-only baseline.
 	RelayCars int
-	Seed      int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// SpeedMPS is the platoon speed; RelaySpeedMPS the relay traffic's.
 	SpeedMPS      float64
 	RelaySpeedMPS float64
@@ -68,18 +61,9 @@ type TwoWayConfig struct {
 	// midpoint, APSetbackM off the outbound lane.
 	RoadLengthM float64
 	APSetbackM  float64
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// TuneChannel and TuneCarq optionally mutate derived configs.
 	TuneChannel func(*radio.Config)
 	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultTwoWay returns a 90 km/h three-car platoon with four relay cars.
@@ -88,7 +72,7 @@ func DefaultTwoWay() TwoWayConfig {
 		Rounds:           8,
 		Cars:             3,
 		RelayCars:        4,
-		Seed:             1,
+		Common:           Common{Seed: 1},
 		SpeedMPS:         25,
 		RelaySpeedMPS:    25,
 		HeadwayM:         50,
@@ -179,12 +163,8 @@ func RunTwoWay(cfg TwoWayConfig) (*TwoWayResult, error) {
 		CarIDs:   CarIDs(cfg.Cars),
 		RelayIDs: TwoWayRelayIDs(cfg.RelayCars),
 	}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, err := runTwoWayRound(cfg, round, res.CarIDs)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: two-way round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
+	if res.Rounds, _, err = collectRounds("two-way", cfg, cfg.Rounds, protocolOnly(TwoWayRound)); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -192,15 +172,7 @@ func RunTwoWay(cfg TwoWayConfig) (*TwoWayResult, error) {
 // TwoWayRound runs one independent two-way round; see TestbedRound for
 // the determinism contract.
 func TwoWayRound(cfg TwoWayConfig, round int) (*trace.Collector, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	return runTwoWayRound(cfg, round, CarIDs(cfg.Cars))
-}
-
-func runTwoWayRound(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (*trace.Collector, error) {
-	setup, err := twoWaySetup(cfg, round, carIDs)
+	setup, err := TwoWaySetup(cfg, round)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +241,6 @@ func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, er
 	}
 
 	chCfg := twoWayChannel()
-	chCfg.FastMode = cfg.FastChannel
 	if cfg.TuneChannel != nil {
 		cfg.TuneChannel(&chCfg)
 	}
@@ -309,8 +280,7 @@ func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, er
 	apCfg := apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
 		cfg.PayloadBytes, 1, 0, apStop)
 	apCfg.CycleLength = cfg.CycleBlocks
-	return Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
+	return cfg.setup(roundSeed, Setup{
 		Channel: chCfg,
 		MAC:     macCfg,
 		APs: []APSpec{{
@@ -319,6 +289,5 @@ func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, er
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
-	}, nil
+	}), nil
 }
